@@ -20,7 +20,7 @@
 #include "pipeline/aggregate_report.hh"
 #include "pipeline/batch_runner.hh"
 #include "sim/executor.hh"
-#include "trace/trace_io.hh"
+#include "trace/segmented_io.hh"
 #include "workload/random_gen.hh"
 
 #include <unistd.h>
@@ -63,11 +63,10 @@ class BenchCorpus
             opts.seed = cfg.seed;
             opts.maxSteps = 10'000'000;
             const auto res = runProgram(randomProgram(cfg), opts);
-            const auto trace =
-                buildTrace(res, {.keepMemberOps = true});
+            const auto trace = buildTrace(res);
             char name[32];
             std::snprintf(name, sizeof(name), "t%03zu.trace", i);
-            writeTraceFile(trace, (dir_ / name).string());
+            writeSegmentedTraceFile(trace, (dir_ / name).string());
         }
         scan_ = scanCorpus(dir_.string());
     }

@@ -2,9 +2,10 @@
  * @file
  * Section 5 overhead claims:
  *
- *  (1) Section 4.1's tracing scheme — bit-vector READ/WRITE sets per
- *      computation event — beats tracing every memory operation:
- *      trace bytes per operation drop by an order of magnitude.
+ *  (1) Section 4.1's tracing scheme — READ/WRITE sets per
+ *      computation event, stored as delta-coded word lists in the
+ *      WMRSEG01 container — beats tracing every memory operation, and
+ *      the gap grows with the length of unsynchronized runs.
  *  (2) Post-mortem analysis cost scales with EVENTS, not operations:
  *      coarser events (longer computation runs) make analysis
  *      cheaper for the same operation count.
@@ -18,7 +19,8 @@
 #include "detect/analysis.hh"
 #include "onthefly/epoch_detector.hh"
 #include "onthefly/vc_detector.hh"
-#include "trace/trace_io.hh"
+#include "trace/segmented_io.hh"
+#include "trace/wire_codec.hh"
 #include "workload/random_gen.hh"
 
 namespace {
@@ -41,6 +43,24 @@ workloadProgram(std::uint32_t blocks, std::uint64_t seed = 11,
     return randomProgram(cfg);
 }
 
+/**
+ * The FULL-OP encoding Section 4.1 rejects ("WMRFOP01"): one record
+ * per memory operation.  It exists only to measure what the event
+ * abstraction saves; nothing reads it back.
+ */
+std::vector<std::uint8_t>
+serializeFullOps(const std::vector<MemOp> &ops)
+{
+    static constexpr char kFullOpMagic[8] = {'W', 'M', 'R', 'F',
+                                             'O', 'P', '0', '1'};
+    wire::Encoder enc;
+    enc.raw(kFullOpMagic, sizeof(kFullOpMagic));
+    enc.u64(ops.size());
+    for (const auto &op : ops)
+        wire::encodeMemOp(enc, op);
+    return enc.take();
+}
+
 ExecutionResult
 execOf(const Program &p, std::uint64_t seed = 11)
 {
@@ -53,16 +73,15 @@ execOf(const Program &p, std::uint64_t seed = 11)
 void
 reproduce()
 {
-    section("(1) trace size: full-op records vs bit-vector events");
+    section("(1) trace size: full-op records vs WMRSEG01 events");
     std::printf("  %-10s %12s %14s %14s %12s %12s\n", "ops",
                 "events", "full bytes", "event bytes", "B/op full",
                 "B/op event");
     for (const std::uint32_t blocks : {5u, 20u, 80u, 320u}) {
         const auto res = execOf(workloadProgram(blocks));
-        const auto trace = buildTrace(res); // production mode: no
-                                            // member-op lists
+        const auto trace = buildTrace(res);
         const auto fullBytes = serializeFullOps(res.ops).size();
-        const auto eventBytes = serializeTrace(trace).size();
+        const auto eventBytes = serializeSegmentedTrace(trace).size();
         std::printf("  %-10zu %12zu %14zu %14zu %12.2f %12.2f\n",
                     res.ops.size(), trace.events().size(), fullBytes,
                     eventBytes,
@@ -86,13 +105,13 @@ reproduce()
             static_cast<double>(serializeFullOps(res.ops).size()) /
             static_cast<double>(res.ops.size());
         const double event =
-            static_cast<double>(serializeTrace(trace).size()) /
+            static_cast<double>(serializeSegmentedTrace(trace).size()) /
             static_cast<double>(res.ops.size());
         std::printf("  %-14u %10zu %12.2f %12.2f %9.1fx\n", opb,
                     res.ops.size(), full, event, full / event);
     }
     note("long unsynchronized computation phases are where the "
-         "bit-vector scheme");
+         "event scheme");
     note("pays off: many operations fold into one event record.");
 
     section("(2) analysis cost follows events, not operations");
@@ -159,7 +178,7 @@ BM_TraceWriteEventFormat(benchmark::State &state)
         static_cast<std::uint32_t>(state.range(0))));
     for (auto _ : state) {
         const auto trace = buildTrace(res);
-        benchmark::DoNotOptimize(serializeTrace(trace).size());
+        benchmark::DoNotOptimize(serializeSegmentedTrace(trace).size());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *

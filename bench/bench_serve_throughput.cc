@@ -37,7 +37,7 @@
 
 #include "serve/client.hh"
 #include "serve/server.hh"
-#include "trace/trace_io.hh"
+#include "trace/segmented_io.hh"
 #include "workload/synthetic_trace.hh"
 
 namespace {
@@ -63,7 +63,7 @@ traceBytes(std::uint64_t seed)
     opts.hotWords = 16;
     opts.hotFraction = 0.02;
     opts.seed = seed;
-    return serializeTrace(makeSyntheticTrace(opts));
+    return serializeSegmentedTrace(makeSyntheticTrace(opts));
 }
 
 /** The benched upload set, built once. */

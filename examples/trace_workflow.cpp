@@ -20,7 +20,7 @@
 #include "detect/analysis.hh"
 #include "detect/report.hh"
 #include "prog/assembler.hh"
-#include "trace/trace_io.hh"
+#include "trace/segmented_io.hh"
 #include "workload/patterns.hh"
 
 namespace {
@@ -39,9 +39,10 @@ phaseRun(const Program &prog, const std::string &tracePath)
         std::printf("execution truncated (spin without progress?)\n");
         return 1;
     }
-    const ExecutionTrace trace =
-        buildTrace(res, {.keepMemberOps = true});
-    const std::size_t bytes = writeTraceFile(trace, tracePath);
+    const ExecutionTrace trace = buildTrace(res);
+    const std::size_t bytes = writeSegmentedTraceFile(trace, tracePath);
+    if (bytes == 0)
+        fatal("cannot write trace file '%s'", tracePath.c_str());
     std::printf("phase 1: executed %zu memory operations on %s, "
                 "wrote %zu events (%zu bytes) to %s\n",
                 res.ops.size(),
@@ -53,7 +54,10 @@ phaseRun(const Program &prog, const std::string &tracePath)
 int
 phaseCheck(const std::string &tracePath, const Program *prog)
 {
-    const ExecutionTrace trace = readTraceFile(tracePath);
+    TraceReadResult loaded = tryReadTraceFile(tracePath);
+    if (!loaded.ok())
+        fatal("%s", loaded.error.c_str());
+    const ExecutionTrace &trace = loaded.trace;
     std::printf("phase 2: loaded %zu events (%llu operations) from "
                 "%s\n\n",
                 trace.events().size(),

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -13,7 +13,6 @@
 #include "pipeline/work_queue.hh"
 #include "pipeline/worker_pool.hh"
 #include "stream/stream_analyzer.hh"
-#include "trace/segmented_io.hh"
 #include "trace/trace_io.hh"
 
 namespace wmr {
@@ -38,10 +37,29 @@ struct WorkerTotals
     std::uint64_t reachQueries = 0;
 };
 
+/** Copy a failed load into @p out. */
+void
+failLoad(TraceIoStatus status, const std::string &error,
+         TraceRunResult &out)
+{
+    out.status = status == TraceIoStatus::IoError
+                     ? TraceRunStatus::IoError
+                     : TraceRunStatus::FormatError;
+    out.error = error;
+}
+
+/** Copy the WMRSEG01 provenance of a run into @p out. */
+void
+noteProvenance(const SalvageInfo &salvage, TraceRunResult &out)
+{
+    out.salvaged = salvage.salvaged;
+    out.unresolvedPairings = salvage.unresolvedPairings;
+    out.droppedDataRecords = salvage.droppedDataRecords;
+}
+
 /**
  * Stream-analyze one segmented trace (BatchOptions::stream): same
- * TraceRunResult fields — including the salvage-recovered-nothing
- * quarantine rule — as the whole-trace path, O(window) memory.
+ * TraceRunResult fields as the whole-trace path, O(window) memory.
  */
 void
 streamOneTrace(const std::string &path, const BatchOptions &opts,
@@ -52,20 +70,13 @@ streamOneTrace(const std::string &path, const BatchOptions &opts,
     sopts.strict = !opts.salvage;
     sopts.windowSegments = opts.streamWindow;
     const StreamResult sr = streamAnalyzeFile(path, sopts);
-    if (sr.ok && sr.salvage.salvaged && sr.events == 0) {
-        out.status = TraceRunStatus::FormatError;
-        out.error = "salvage recovered no events (" +
-                    sr.salvage.summary() + ")";
-        return;
-    }
     if (!sr.ok) {
-        out.status = TraceRunStatus::FormatError;
-        out.error = sr.error;
+        failLoad(TraceIoStatus::FormatError, sr.error, out);
         return;
     }
-    out.salvaged = sr.salvage.salvaged;
-    out.unresolvedPairings = sr.salvage.unresolvedPairings;
-    out.droppedDataRecords = sr.salvage.droppedDataRecords;
+    std::error_code ec;
+    out.fileBytes = std::filesystem::file_size(path, ec);
+    noteProvenance(sr.salvage, out);
     out.status = TraceRunStatus::Ok;
     out.events = sr.events;
     out.syncEvents = sr.syncEvents;
@@ -90,75 +101,34 @@ analyzeOneTrace(const std::string &path, const BatchOptions &opts,
     obs::Span traceSpan("batch.trace");
     traceSpan.annotate(path);
 
+    // Bounded-memory path: only the magic is read before streaming.
+    if (opts.stream && fileLooksSegmented(path)) {
+        streamOneTrace(path, opts, out, stages);
+        return;
+    }
+
     ExecutionTrace trace;
     {
         std::vector<std::uint8_t> bytes;
         {
             obs::StagedSpan s("batch.read", stages.read);
-            std::ifstream in(path, std::ios::binary);
-            if (!in) {
-                out.status = TraceRunStatus::IoError;
-                out.error =
-                    "cannot open trace file '" + path + "'";
-                return;
-            }
-            bytes.assign((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-            if (in.bad()) {
-                out.status = TraceRunStatus::IoError;
-                out.error =
-                    "read error on trace file '" + path + "'";
+            std::string error;
+            const TraceIoStatus st = readTraceBytes(path, bytes, error);
+            if (st != TraceIoStatus::Ok) {
+                failLoad(st, error, out);
                 return;
             }
             out.fileBytes = bytes.size();
         }
 
         obs::StagedSpan s("batch.parse", stages.parse);
-        if (looksSegmented(bytes.data(), bytes.size())) {
-            if (opts.stream) {
-                // Bounded-memory path: drop the materialized bytes
-                // and stream the file instead.
-                bytes.clear();
-                bytes.shrink_to_fit();
-                streamOneTrace(path, opts, out, stages);
-                return;
-            }
-            // Segmented traces go through their own reader (rather
-            // than the sniffing tryDeserializeTrace) so the batch can
-            // salvage damaged files and surface recorder-side losses
-            // per trace.
-            auto seg = opts.salvage ? trySalvageTrace(bytes)
-                                    : tryReadSegmentedTrace(bytes);
-            if (seg.ok() && seg.salvage.salvaged &&
-                seg.trace.events().empty()) {
-                // Nothing recoverable: fail so the file lands in the
-                // quarantine instead of passing as an empty analysis.
-                seg.status = TraceIoStatus::FormatError;
-                seg.error = "salvage recovered no events (" +
-                            seg.salvage.summary() + ")";
-            }
-            if (!seg.ok()) {
-                out.status = seg.status == TraceIoStatus::IoError
-                                 ? TraceRunStatus::IoError
-                                 : TraceRunStatus::FormatError;
-                out.error = seg.error;
-                return;
-            }
-            out.salvaged = seg.salvage.salvaged;
-            out.unresolvedPairings = seg.salvage.unresolvedPairings;
-            out.droppedDataRecords = seg.salvage.droppedDataRecords;
-            trace = std::move(seg.trace);
-        } else {
-            auto parsed = tryDeserializeTrace(bytes);
-            if (!parsed.ok()) {
-                out.status = parsed.status == TraceIoStatus::IoError
-                                 ? TraceRunStatus::IoError
-                                 : TraceRunStatus::FormatError;
-                out.error = parsed.error;
-                return;
-            }
-            trace = std::move(parsed.trace);
+        TraceReadResult res = tryDeserializeTrace(bytes, opts.salvage);
+        if (!res.ok()) {
+            failLoad(res.status, res.error, out);
+            return;
         }
+        noteProvenance(res.salvage, out);
+        trace = std::move(res.trace);
     }
 
     obs::StagedSpan analyzeSpan("batch.analyze", stages.analyze);

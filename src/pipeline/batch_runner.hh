@@ -116,11 +116,12 @@ struct BatchOptions
     bool salvage = false;
 
     /**
-     * Analyze segmented traces with the bounded-memory streaming
-     * engine (src/stream/) instead of materializing them.  Results
-     * are identical; per-trace memory is O(window) instead of
-     * O(trace), so corpora of huge traces fit.  EVENT-format traces
-     * cannot stream and keep the whole-trace path.
+     * Analyze WMRSEG01 traces with the bounded-memory streaming
+     * engine (src/stream/) instead of materializing them; only the
+     * magic is read before the path is chosen.  Results are
+     * identical; per-trace memory is O(window) instead of O(trace),
+     * so corpora of huge traces fit.  Legacy WMRTRC01 traces cannot
+     * stream and keep the whole-trace path.
      */
     bool stream = false;
 

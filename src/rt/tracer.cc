@@ -13,7 +13,6 @@
 #include "obs/obs.hh"
 #include "onthefly/epoch_detector.hh"
 #include "onthefly/vc_detector.hh"
-#include "trace/trace_io.hh"
 
 namespace wmr::rt {
 
@@ -130,7 +129,7 @@ Tracer::Tracer(TracerConfig cfg)
                 crashHandlersInstalled_ =
                     installCrashHandlers(this);
         } else {
-            // Degrade to the classic at-stop() write.
+            // Degrade to the whole-trace write at stop().
             warn("wmr-rt: spill disabled: %s",
                  spill->lastError().c_str());
             spillFailures_ += 1;
@@ -535,7 +534,7 @@ Tracer::maybeSealSpill(bool force)
         warn("wmr-rt: spill write failed: %s",
              spill_->lastError().c_str());
         spillFailures_ += 1;
-        spill_.reset(); // fall back to the classic write at stop()
+        spill_.reset(); // fall back to the whole-trace write at stop()
     }
 }
 
@@ -752,8 +751,10 @@ Tracer::finalize()
             spill_.reset();
         }
     }
-    if (!spill_ && !cfg_.tracePath.empty())
-        writeTraceFile(built_, cfg_.tracePath);
+    if (!spill_ && !cfg_.tracePath.empty() &&
+        writeSegmentedTraceFile(built_, cfg_.tracePath) == 0)
+        warn("wmr-rt: cannot write trace file '%s'",
+             cfg_.tracePath.c_str());
 }
 
 ExecutionTrace

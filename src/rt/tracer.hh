@@ -106,9 +106,9 @@ struct TracerConfig
      * Record mode: spill sealed events to cfg.tracePath incrementally
      * as segmented, checksummed frames (trace/segmented_io.hh), a
      * data segment every time this many pending payload bytes
-     * accumulate (and at every drain quiescence point).  0 = classic
-     * single-blob write at stop() — the historical behavior, which
-     * loses the whole trace if the process dies first.  `wmrace
+     * accumulate (and at every drain quiescence point).  0 = one
+     * whole-trace write at stop() (same container), which loses the
+     * whole trace if the process dies first.  `wmrace
      * record` children default to 64 KiB via WMR_RT_SPILL.
      */
     std::size_t spillSegmentBytes = 0;

@@ -27,7 +27,6 @@
 #include "pipeline/batch_runner.hh"
 #include "pipeline/checkpoint.hh"
 #include "serve/io_util.hh"
-#include "trace/segmented_io.hh"
 #include "trace/trace_io.hh"
 
 namespace fs = std::filesystem;
@@ -42,8 +41,7 @@ using Clock = std::chrono::steady_clock;
 struct UploadOutcome
 {
     bool ok = false;
-    std::string error;
-    TraceRunResult rr; ///< journal + meta source
+    TraceRunResult rr; ///< journal + meta source (error on failure)
     std::string report;
 };
 
@@ -65,51 +63,21 @@ analyzeUpload(const std::vector<std::uint8_t> &bytes, bool salvage,
     UploadOutcome out;
     out.rr.fileBytes = bytes.size();
 
-    ExecutionTrace trace;
-    bool segmented = false;
-    SalvageInfo salvageInfo;
+    TraceReadResult loaded;
     {
         obs::Span parseSpan("serve.parse");
-        if (looksSegmented(bytes.data(), bytes.size())) {
-            segmented = true;
-            auto seg = salvage ? trySalvageTrace(bytes)
-                               : tryReadSegmentedTrace(bytes);
-            if (seg.ok() && seg.salvage.salvaged &&
-                seg.trace.events().empty()) {
-                seg.status = TraceIoStatus::FormatError;
-                seg.error = "salvage recovered no events (" +
-                            seg.salvage.summary() + ")";
-            }
-            if (!seg.ok()) {
-                out.rr.status =
-                    seg.status == TraceIoStatus::IoError
-                        ? TraceRunStatus::IoError
-                        : TraceRunStatus::FormatError;
-                out.rr.error = seg.error;
-                out.error = seg.error;
-                return out;
-            }
-            out.rr.salvaged = seg.salvage.salvaged;
-            out.rr.unresolvedPairings =
-                seg.salvage.unresolvedPairings;
-            out.rr.droppedDataRecords =
-                seg.salvage.droppedDataRecords;
-            salvageInfo = seg.salvage;
-            trace = std::move(seg.trace);
-        } else {
-            auto parsed = tryDeserializeTrace(bytes);
-            if (!parsed.ok()) {
-                out.rr.status =
-                    parsed.status == TraceIoStatus::IoError
-                        ? TraceRunStatus::IoError
-                        : TraceRunStatus::FormatError;
-                out.rr.error = parsed.error;
-                out.error = parsed.error;
-                return out;
-            }
-            trace = std::move(parsed.trace);
-        }
+        loaded = tryDeserializeTrace(bytes, salvage);
     }
+    if (!loaded.ok()) {
+        out.rr.status = TraceRunStatus::FormatError;
+        out.rr.error = loaded.error;
+        return out;
+    }
+    out.rr.salvaged = loaded.salvage.salvaged;
+    out.rr.unresolvedPairings = loaded.salvage.unresolvedPairings;
+    out.rr.droppedDataRecords = loaded.salvage.droppedDataRecords;
+    const std::string provenance =
+        formatTraceProvenance(loaded.segmented, loaded.salvage);
 
     obs::Span analyzeSpan("serve.analyze");
     // engineWireName is null for 0/default AND for out-of-range ids
@@ -122,17 +90,17 @@ analyzeUpload(const std::vector<std::uint8_t> &bytes, bool salvage,
         fopts.kinds = *kinds;
         fopts.threads = threads;
         const engines::EngineFamilyResult fam =
-            engines::runEngineFamily(trace, fopts);
+            engines::runEngineFamily(loaded.trace, fopts);
         out.rr.status = TraceRunStatus::Ok;
         fillFromEngineFamily(fam, out.rr);
-        out.report = formatTraceProvenance(segmented, salvageInfo) +
-                     engines::formatFamilyReport(fam);
+        out.report = provenance + engines::formatFamilyReport(fam);
         out.ok = true;
         return out;
     }
     AnalysisOptions aopts;
     aopts.threads = threads;
-    const DetectionResult det = analyzeTrace(std::move(trace), aopts);
+    const DetectionResult det =
+        analyzeTrace(std::move(loaded.trace), aopts);
 
     out.rr.status = TraceRunStatus::Ok;
     out.rr.events = det.trace().events().size();
@@ -146,8 +114,7 @@ analyzeUpload(const std::vector<std::uint8_t> &bytes, bool salvage,
     out.rr.anyDataRace = det.anyDataRace();
     out.rr.wholeExecutionSc = det.scp().wholeExecutionSc;
 
-    out.report = formatTraceProvenance(segmented, salvageInfo) +
-                 formatReport(det);
+    out.report = provenance + formatReport(det);
     out.ok = true;
     return out;
 }

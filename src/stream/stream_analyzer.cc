@@ -789,7 +789,7 @@ streamAnalyzeFollow(const std::string &path, const StreamOptions &opts,
             st == TailPollStatus::Damaged)
             break;
         if (st == TailPollStatus::Waiting) {
-            if (!wasAlive)
+            if (!wasAlive && tail.atEof())
                 break;
             nap();
         }

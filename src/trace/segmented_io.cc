@@ -13,6 +13,7 @@
 #include <unordered_map>
 
 #include "common/crc32.hh"
+#include "common/string_util.hh"
 #include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "trace/wire_codec.hh"
@@ -92,14 +93,11 @@ decodeWordList(wire::Decoder &dec, const char *what)
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t delta = dec.u64();
         if (i > 0 && delta == 0)
-            wire::parseFail("segmented trace: %s word ids not "
-                            "strictly increasing",
+            wire::parseFail("%s word ids not strictly increasing",
                             what);
         idx += delta;
         if (idx >= kMaxWords)
-            wire::parseFail("segmented trace: %s word id %llu out of "
-                            "range",
-                            what,
+            wire::parseFail("%s word id %llu out of range", what,
                             static_cast<unsigned long long>(idx));
         words.push_back(static_cast<Addr>(idx));
     }
@@ -129,21 +127,19 @@ decodeFileEvent(wire::Decoder &dec)
     FileEvent ev;
     const std::uint64_t kind = dec.u64();
     if (kind > 1)
-        wire::parseFail("segmented trace: bad event kind %llu",
+        wire::parseFail("bad event kind %llu",
                         static_cast<unsigned long long>(kind));
     ev.kind = kind ? EventKind::Sync : EventKind::Computation;
     const std::uint64_t rawProc = dec.u64();
     if (rawProc >= kNoProc)
-        wire::parseFail("segmented trace: event processor %llu too "
-                        "large",
+        wire::parseFail("event processor %llu too large",
                         static_cast<unsigned long long>(rawProc));
     ev.proc = static_cast<ProcId>(rawProc);
     ev.firstOp = dec.u64();
     ev.lastOp = dec.u64();
     const std::uint64_t rawCount = dec.u64();
     if (rawCount > 0xffffffffull)
-        wire::parseFail("segmented trace: event op count %llu too "
-                        "large",
+        wire::parseFail("event op count %llu too large",
                         static_cast<unsigned long long>(rawCount));
     ev.opCount = static_cast<std::uint32_t>(rawCount);
     if (ev.kind == EventKind::Sync) {
@@ -155,20 +151,6 @@ decodeFileEvent(wire::Decoder &dec)
     }
     return ev;
 }
-
-/** Everything the frame scan recovers before trace rebuild. */
-struct ScanResult
-{
-    std::vector<FileEvent> events;
-    bool finSeen = false;
-    SegShape fin;
-    std::uint64_t droppedSoFar = 0;
-    std::uint64_t segments = 0;
-    // Damage (salvage mode only — strict throws instead).
-    std::uint64_t segmentsDropped = 0;
-    std::uint64_t bytesDropped = 0;
-    std::string note;
-};
 
 /**
  * Parse one CRC-verified segment payload.  DATA events/counters land
@@ -185,7 +167,7 @@ parseSegmentPayload(const std::uint8_t *payload, std::uint32_t len,
     std::uint8_t tag = 0;
     dec.raw(&tag, 1);
     if (finAlready)
-        wire::parseFail("segmented trace: segment after FIN");
+        wire::parseFail("segment after FIN");
     bool isFin = false;
     if (tag == kSegData) {
         seg.opsSoFar = dec.u64();
@@ -197,13 +179,11 @@ parseSegmentPayload(const std::uint8_t *payload, std::uint32_t len,
     } else if (tag == kSegFin) {
         const std::uint64_t procs = dec.u64();
         if (procs >= kNoProc)
-            wire::parseFail("segmented trace: FIN processor "
-                            "count %llu too large",
+            wire::parseFail("FIN processor count %llu too large",
                             static_cast<unsigned long long>(procs));
         const std::uint64_t words = dec.u64();
         if (words > kMaxWords)
-            wire::parseFail("segmented trace: FIN universe "
-                            "%llu too large",
+            wire::parseFail("FIN universe %llu too large",
                             static_cast<unsigned long long>(words));
         fin.procs = static_cast<ProcId>(procs);
         fin.memWords = static_cast<Addr>(words);
@@ -212,116 +192,30 @@ parseSegmentPayload(const std::uint8_t *payload, std::uint32_t len,
         fin.droppedRecords = dec.u64();
         isFin = true;
     } else {
-        wire::parseFail("segmented trace: unknown segment "
-                        "tag 0x%02x",
-                        tag);
+        wire::parseFail("unknown segment tag 0x%02x", tag);
     }
     if (!dec.done())
-        wire::parseFail("segmented trace: trailing bytes in segment");
+        wire::parseFail("trailing bytes in segment");
     return isFin;
 }
 
 /**
- * Scan segments from byte 8 on.  Strict mode throws ParseFailure at
- * the first problem; salvage mode records the damage, discards the
- * tail and returns what verified.
+ * Rebuild an ExecutionTrace from the recovered file-order events.
+ * Throws wire::ParseFailure when strict and an event exceeds the FIN
+ * shape or a pairing is unresolvable; otherwise counts lost pairings
+ * into @p sv.
  */
-ScanResult
-scanSegments(const std::vector<std::uint8_t> &bytes, bool strict)
+ExecutionTrace
+rebuildTrace(std::vector<FileEvent> &events, const SegmentScanner &scan,
+             bool strict, SalvageInfo &sv)
 {
-    ScanResult out;
-    std::size_t off = sizeof(kSegMagic);
-
-    const auto damage = [&](std::size_t at, const std::string &why) {
-        if (strict)
-            wire::parseFail("segmented trace: %s (offset %zu); a "
-                            "partial recording can be recovered with "
-                            "salvage",
-                            why.c_str(), at);
-        out.segmentsDropped = bytes.size() > at ? 1 : 0;
-        out.bytesDropped = bytes.size() - at;
-        out.note = why;
-    };
-
-    while (off < bytes.size()) {
-        const std::size_t frameStart = off;
-        if (bytes.size() - off < 4) {
-            damage(frameStart, "truncated segment length");
-            return out;
-        }
-        const std::uint32_t len = readLe32(bytes.data() + off);
-        if (len == 0 || len > kMaxSegmentBytes ||
-            len + 8ull > bytes.size() - off) {
-            damage(frameStart, "truncated or oversized segment");
-            return out;
-        }
-        const std::uint8_t *payload = bytes.data() + off + 4;
-        const std::uint32_t stored = readLe32(payload + len);
-        if (crc32(payload, len) != stored) {
-            damage(frameStart, "segment checksum mismatch");
-            return out;
-        }
-
-        // The frame verified; parse the payload.  In salvage mode a
-        // payload that fails to decode still ends recovery here —
-        // the CRC says the bytes are what the writer wrote, so a
-        // parse failure means a writer/reader version skew we cannot
-        // safely guess past.
-        try {
-            SegTailSegment seg;
-            if (parseSegmentPayload(payload, len, out.finSeen, seg,
-                                    out.fin)) {
-                out.finSeen = true;
-            } else {
-                out.droppedSoFar = seg.droppedSoFar;
-                std::move(seg.events.begin(), seg.events.end(),
-                          std::back_inserter(out.events));
-            }
-        } catch (const wire::ParseFailure &pf) {
-            if (strict)
-                throw;
-            damage(frameStart, pf.message);
-            return out;
-        }
-
-        ++out.segments;
-        off += 4ull + len + 4;
-    }
-    return out;
-}
-
-/** Rebuild an ExecutionTrace from the recovered file-order events. */
-SegTraceReadResult
-buildFromScan(ScanResult scan, bool strict)
-{
-    SegTraceReadResult res;
-    SalvageInfo &sv = res.salvage;
-    sv.finSeen = scan.finSeen;
-    sv.segmentsRecovered = scan.segments;
-    sv.segmentsDropped = scan.segmentsDropped;
-    sv.bytesDropped = scan.bytesDropped;
-    sv.note = scan.note;
-    sv.salvaged = !scan.finSeen || scan.segmentsDropped > 0 ||
-                  scan.bytesDropped > 0;
-    if (sv.salvaged && sv.note.empty())
-        sv.note = "no FIN segment (recording did not shut down "
-                  "cleanly)";
-    sv.droppedDataRecords =
-        scan.finSeen ? scan.fin.droppedRecords : scan.droppedSoFar;
-
-    if (strict && !scan.finSeen)
-        wire::parseFail("segmented trace: missing FIN segment — the "
-                        "recording did not shut down cleanly; a "
-                        "partial recording can be recovered with "
-                        "salvage");
-
     // Shape: the FIN is authoritative; without one (or when a
     // damaged file disagrees with it) widen to cover every event.
-    ProcId procs = scan.finSeen ? scan.fin.procs : 0;
-    Addr words = scan.finSeen ? scan.fin.memWords : 0;
-    std::uint64_t totalOps = scan.finSeen ? scan.fin.totalOps : 0;
-    std::uint64_t opsSeen = 0;
-    for (const FileEvent &ev : scan.events) {
+    const bool finSeen = scan.finSeen();
+    const SegShape &fin = scan.fin();
+    ProcId procs = finSeen ? fin.procs : 0;
+    Addr words = finSeen ? fin.memWords : 0;
+    for (const FileEvent &ev : events) {
         ProcId needProcs = static_cast<ProcId>(ev.proc + 1);
         Addr needWords = 0;
         if (ev.kind == EventKind::Sync) {
@@ -333,7 +227,7 @@ buildFromScan(ScanResult scan, bool strict)
                 needWords = std::max(needWords,
                                      ev.writeWords.back() + 1);
         }
-        if (strict && scan.finSeen &&
+        if (strict && finSeen &&
             (needProcs > procs || needWords > words)) {
             wire::parseFail("segmented trace: event exceeds the FIN "
                             "shape (%u procs, %u words)",
@@ -342,38 +236,32 @@ buildFromScan(ScanResult scan, bool strict)
         }
         procs = std::max(procs, needProcs);
         words = std::max(words, needWords);
-        opsSeen += ev.opCount;
     }
     if (procs == 0)
         procs = 1;
-    if (!scan.finSeen)
-        totalOps = opsSeen;
 
-    sv.eventsRecovered = scan.events.size();
-    sv.opsRecovered = opsSeen;
+    ExecutionTrace trace;
+    trace.setShape(procs, words);
+    trace.setFirstStaleRead(finSeen ? fin.firstStaleRead : kNoOp);
+    trace.setTotalOps(finSeen ? fin.totalOps : sv.opsRecovered);
 
-    res.trace.setShape(procs, words);
-    res.trace.setFirstStaleRead(scan.finSeen ? scan.fin.firstStaleRead
-                                             : kNoOp);
-    res.trace.setTotalOps(totalOps);
-
-    // Events are registered in first-op order (matching the classic
-    // builder) while pairing ordinals refer to FILE order, so map
+    // Events are registered in first-op order (matching the
+    // simulator's buildTrace) while pairing ordinals refer to FILE
+    // order, so map
     // one onto the other.  The spill order already respects both the
     // per-processor and the per-location sync orders, and first-op
     // order refines it deterministically.
-    const std::size_t n = scan.events.size();
+    const std::size_t n = events.size();
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return scan.events[a].firstOp <
-                                scan.events[b].firstOp;
+                         return events[a].firstOp < events[b].firstOp;
                      });
     std::vector<EventId> idByOrdinal(n, kNoEvent);
 
     for (std::size_t i = 0; i < n; ++i) {
-        FileEvent &fe = scan.events[order[i]];
+        FileEvent &fe = events[order[i]];
         Event ev;
         ev.kind = fe.kind;
         ev.proc = fe.proc;
@@ -390,20 +278,19 @@ buildFromScan(ScanResult scan, bool strict)
             for (const Addr w : fe.writeWords)
                 ev.writeSet.set(w);
         }
-        idByOrdinal[order[i]] = res.trace.addEvent(std::move(ev));
+        idByOrdinal[order[i]] = trace.addEvent(std::move(ev));
     }
 
     // Resolve release→acquire pairing ordinals to event ids.  A
     // pairing that points outside the recovered prefix loses its so1
     // edge; strict mode treats that as corruption.
     for (std::size_t ord = 0; ord < n; ++ord) {
-        const FileEvent &fe = scan.events[ord];
+        const FileEvent &fe = events[ord];
         if (fe.kind != EventKind::Sync || fe.pairing == 0)
             continue;
         const std::uint64_t target = fe.pairing - 1;
         const bool resolvable =
-            target < n &&
-            scan.events[target].kind == EventKind::Sync;
+            target < n && events[target].kind == EventKind::Sync;
         if (!resolvable) {
             if (strict)
                 wire::parseFail("segmented trace: event pairing "
@@ -413,13 +300,14 @@ buildFromScan(ScanResult scan, bool strict)
             ++sv.unresolvedPairings;
             continue;
         }
-        res.trace.mutableEvent(idByOrdinal[ord]).pairedRelease =
+        trace.mutableEvent(idByOrdinal[ord]).pairedRelease =
             idByOrdinal[target];
     }
-
-    return res;
+    return trace;
 }
 
+/** The whole-buffer reader: scan @p bytes in place to the end, then
+ *  build the trace. */
 SegTraceReadResult
 readSegmented(const std::vector<std::uint8_t> &bytes, bool strict)
 {
@@ -429,69 +317,38 @@ readSegmented(const std::vector<std::uint8_t> &bytes, bool strict)
                         : "trace.salvage_reads")
         .inc();
     SegTraceReadResult res;
-    if (!looksSegmented(bytes.data(), bytes.size())) {
+    res.segmented = looksSegmented(bytes.data(), bytes.size());
+
+    SegmentScanner scan;
+    std::vector<FileEvent> events;
+    SegTailSegment seg;
+    for (;;) {
+        const std::size_t at = scan.offset();
+        const TailPollStatus st =
+            scan.next(bytes.data() + at, bytes.size() - at, seg);
+        if (st == TailPollStatus::Progress)
+            std::move(seg.events.begin(), seg.events.end(),
+                      std::back_inserter(events));
+        else if (st != TailPollStatus::Fin)
+            break;
+    }
+    const bool accepted = scan.finish(strict, bytes.size());
+    res.salvage = scan.salvage();
+    if (!accepted) {
         res.status = TraceIoStatus::FormatError;
-        res.error = "not a segmented trace (bad magic)";
+        res.error = scan.error();
         return res;
     }
     try {
-        res = buildFromScan(scanSegments(bytes, strict), strict);
+        res.trace = rebuildTrace(events, scan, strict, res.salvage);
     } catch (const wire::ParseFailure &pf) {
         res.status = TraceIoStatus::FormatError;
         res.error = pf.message;
-        res.trace = ExecutionTrace();
         return res;
     }
     if (res.salvage.salvaged && span.recording())
         span.annotate(res.salvage.summary());
     return res;
-}
-
-bool
-loadFile(const std::string &path, std::vector<std::uint8_t> &bytes,
-         std::string &error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot open '" + path + "': " +
-                std::strerror(errno);
-        return false;
-    }
-    in.seekg(0, std::ios::end);
-    const auto size = in.tellg();
-    in.seekg(0, std::ios::beg);
-    bytes.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-    if (!bytes.empty() &&
-        !in.read(reinterpret_cast<char *>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()))) {
-        error = "cannot read '" + path + "'";
-        return false;
-    }
-    // Fault injection on the read boundary: a short read drops the
-    // file's tail (param = bytes to drop), a bit-flip corrupts one
-    // byte (param = byte offset).  Both land AFTER a successful read,
-    // modelling storage rot rather than syscall failure — the frame
-    // CRCs must turn either into typed damage, never a wrong report.
-    std::uint64_t p = 0;
-    if (fault::at("trace.read.short", &p) && !bytes.empty()) {
-        const std::size_t drop = std::max<std::uint64_t>(p, 1);
-        bytes.resize(bytes.size() > drop ? bytes.size() - drop : 0);
-    }
-    if (fault::at("trace.read.bitflip", &p) && !bytes.empty())
-        bytes[p % bytes.size()] ^= 0x01;
-    return true;
-}
-
-SegTraceReadResult
-readSegmentedFile(const std::string &path, bool strict)
-{
-    SegTraceReadResult res;
-    std::vector<std::uint8_t> bytes;
-    if (!loadFile(path, bytes, res.error)) {
-        res.status = TraceIoStatus::IoError;
-        return res;
-    }
-    return readSegmented(bytes, strict);
 }
 
 } // namespace
@@ -503,62 +360,132 @@ looksSegmented(const std::uint8_t *data, std::size_t n)
            std::memcmp(data, kSegMagic, sizeof(kSegMagic)) == 0;
 }
 
-std::string
-SalvageInfo::summary() const
+// --- SegmentScanner ----------------------------------------------
+
+TailPollStatus
+SegmentScanner::damage(std::uint64_t at, std::string why)
 {
-    char buf[256];
-    if (!salvaged) {
-        std::snprintf(buf, sizeof(buf),
-                      "complete (%llu segments, %llu events)",
-                      static_cast<unsigned long long>(
-                          segmentsRecovered),
-                      static_cast<unsigned long long>(
-                          eventsRecovered));
-        return buf;
-    }
-    std::snprintf(
-        buf, sizeof(buf),
-        "salvaged %llu events (%llu ops) from %llu segments; "
-        "%llu damaged segment(s), %llu bytes dropped",
-        static_cast<unsigned long long>(eventsRecovered),
-        static_cast<unsigned long long>(opsRecovered),
-        static_cast<unsigned long long>(segmentsRecovered),
-        static_cast<unsigned long long>(segmentsDropped),
-        static_cast<unsigned long long>(bytesDropped));
-    std::string s = buf;
-    if (!note.empty())
-        s += "; " + note;
-    return s;
+    damaged_ = true;
+    damageAt_ = at;
+    note_ = std::move(why);
+    return TailPollStatus::Damaged;
 }
 
-std::string
-formatTraceProvenance(bool segmented, const SalvageInfo &salvage)
+TailPollStatus
+SegmentScanner::next(const std::uint8_t *data, std::size_t n,
+                     SegTailSegment &seg)
 {
-    if (!segmented)
-        return "";
-    std::string out;
-    char buf[256];
-    if (salvage.salvaged) {
-        out += "SALVAGED trace: " + salvage.summary() + "\n";
-        if (salvage.unresolvedPairings > 0) {
-            std::snprintf(buf, sizeof(buf),
-                          "  %llu release->acquire pairing(s) lost "
-                          "with the dropped tail\n",
-                          static_cast<unsigned long long>(
-                              salvage.unresolvedPairings));
-            out += buf;
-        }
+    if (damaged_)
+        return TailPollStatus::Damaged;
+    if (!magicOk_) {
+        if (n < sizeof(kSegMagic))
+            return TailPollStatus::Waiting;
+        if (!looksSegmented(data, n))
+            return damage(0, "not a segmented trace (bad magic)");
+        magicOk_ = true;
+        offset_ = sizeof(kSegMagic);
+        data += sizeof(kSegMagic);
+        n -= sizeof(kSegMagic);
     }
-    if (salvage.droppedDataRecords > 0) {
-        std::snprintf(buf, sizeof(buf),
-                      "RECORDER LOSS: %llu data record(s) dropped "
-                      "by the ring-overflow Drop policy; computation "
-                      "events undercount accordingly\n",
-                      static_cast<unsigned long long>(
-                          salvage.droppedDataRecords));
-        out += buf;
+    if (n < 4)
+        return TailPollStatus::Waiting;
+    const std::uint32_t len = readLe32(data);
+    if (len == 0 || len > kMaxSegmentBytes) {
+        // No append can make this frame valid.
+        return damage(offset_, "truncated or oversized segment");
     }
-    return out;
+    if (len + 8ull > n)
+        return TailPollStatus::Waiting;
+    const std::uint8_t *payload = data + 4;
+    if (crc32(payload, len) != readLe32(payload + len)) {
+        // The frame is fully present yet fails its checksum: a
+        // torn/corrupt write, damaged no matter what follows.
+        return damage(offset_, "segment checksum mismatch");
+    }
+
+    // The frame verified; parse the payload.  A payload that fails
+    // to decode still ends recovery here — the CRC says the bytes
+    // are what the writer wrote, so a parse failure means a
+    // writer/reader version skew we cannot safely guess past.
+    seg.events.clear();
+    bool isFin = false;
+    try {
+        isFin = parseSegmentPayload(payload, len, finSeen_, seg, fin_);
+    } catch (const wire::ParseFailure &pf) {
+        return damage(offset_, pf.message);
+    }
+    ++segments_;
+    offset_ += 8ull + len;
+    if (isFin) {
+        finSeen_ = true;
+        return TailPollStatus::Fin;
+    }
+    droppedSoFar_ = seg.droppedSoFar;
+    events_ += seg.events.size();
+    for (const FileEvent &ev : seg.events)
+        ops_ += ev.opCount;
+    return TailPollStatus::Progress;
+}
+
+bool
+SegmentScanner::finish(bool strict, std::uint64_t fileBytes)
+{
+    if (!magicOk_) {
+        // Both strict and salvage reject such a file outright.
+        error_ = damaged_ ? note_ : "not a segmented trace (bad magic)";
+        salvage_.salvaged = true;
+        salvage_.note = error_;
+        return false;
+    }
+
+    // An incomplete frame at final EOF is damage after all.
+    bool anyDamage = damaged_;
+    std::uint64_t damageAt = damageAt_;
+    std::string note = note_;
+    if (!damaged_ && fileBytes > offset_) {
+        anyDamage = true;
+        damageAt = offset_;
+        note = fileBytes - offset_ < 4 ? "truncated segment length"
+                                       : "truncated or oversized segment";
+    }
+
+    SalvageInfo &sv = salvage_;
+    sv.finSeen = finSeen_;
+    sv.segmentsRecovered = segments_;
+    sv.segmentsDropped = anyDamage && fileBytes > damageAt ? 1 : 0;
+    sv.bytesDropped = anyDamage ? fileBytes - damageAt : 0;
+    sv.eventsRecovered = events_;
+    sv.opsRecovered = ops_;
+    sv.droppedDataRecords =
+        finSeen_ ? fin_.droppedRecords : droppedSoFar_;
+    sv.note = anyDamage ? note : "";
+    sv.salvaged = !finSeen_ || sv.segmentsDropped > 0 ||
+                  sv.bytesDropped > 0;
+    if (sv.salvaged && sv.note.empty())
+        sv.note = "no FIN segment (recording did not shut down "
+                  "cleanly)";
+
+    if (strict && anyDamage) {
+        error_ = strformat("segmented trace: %s (offset %llu); a "
+                           "partial recording can be recovered with "
+                           "salvage",
+                           note.c_str(),
+                           static_cast<unsigned long long>(damageAt));
+        return false;
+    }
+    if (strict && !finSeen_) {
+        error_ = "segmented trace: missing FIN segment — the "
+                 "recording did not shut down cleanly; a partial "
+                 "recording can be recovered with salvage";
+        return false;
+    }
+    if (!strict && sv.salvaged && events_ == 0) {
+        // Nothing recoverable: refuse, so the file lands in a
+        // quarantine instead of passing as an empty analysis.
+        error_ = "salvage recovered no events (" + sv.summary() + ")";
+        return false;
+    }
+    return true;
 }
 
 SegTraceReadResult
@@ -570,19 +497,18 @@ tryReadSegmentedTrace(const std::vector<std::uint8_t> &bytes)
 SegTraceReadResult
 tryReadSegmentedTraceFile(const std::string &path)
 {
-    return readSegmentedFile(path, /*strict=*/true);
+    std::vector<std::uint8_t> bytes;
+    SegTraceReadResult res;
+    res.status = readTraceBytes(path, bytes, res.error);
+    if (!res.ok())
+        return res;
+    return readSegmented(bytes, /*strict=*/true);
 }
 
 SegTraceReadResult
 trySalvageTrace(const std::vector<std::uint8_t> &bytes)
 {
     return readSegmented(bytes, /*strict=*/false);
-}
-
-SegTraceReadResult
-trySalvageTraceFile(const std::string &path)
-{
-    return readSegmentedFile(path, /*strict=*/false);
 }
 
 // --- SegmentSpillWriter -----------------------------------------
@@ -931,16 +857,36 @@ SegmentTailReader::open(const std::string &path)
                  std::strerror(errno);
         return false;
     }
+    error_.clear();
     return true;
 }
 
 TailPollStatus
-SegmentTailReader::fail(std::uint64_t at, const std::string &why)
+SegmentTailReader::decodeBuffered(std::vector<SegTailSegment> &segs)
 {
-    damaged_ = true;
-    damageAt_ = at;
-    damageNote_ = why;
-    return TailPollStatus::Damaged;
+    const std::uint64_t base = scan_.offset();
+    bool progressed = false;
+    TailPollStatus st;
+    SegTailSegment seg;
+    for (;;) {
+        const std::size_t at = scan_.offset() - base;
+        st = scan_.next(buf_.data() + at, buf_.size() - at, seg);
+        if (st == TailPollStatus::Progress) {
+            segs.push_back(std::move(seg));
+            seg = SegTailSegment();
+        } else if (st != TailPollStatus::Fin) {
+            break;
+        }
+        progressed = true;
+    }
+    // Drop consumed bytes; keep the unconsumed tail buffered.
+    buf_.erase(buf_.begin(),
+               buf_.begin() +
+                   static_cast<std::ptrdiff_t>(scan_.offset() - base));
+    if (st == TailPollStatus::Damaged)
+        return st;
+    return progressed ? TailPollStatus::Progress
+                      : TailPollStatus::Waiting;
 }
 
 TailPollStatus
@@ -948,10 +894,7 @@ SegmentTailReader::poll(std::vector<SegTailSegment> &segs)
 {
     if (fd_ < 0)
         return TailPollStatus::Damaged;
-    if (damaged_)
-        return TailPollStatus::Damaged;
-    if (finSeen_ && buf_.empty())
-        return TailPollStatus::Fin;
+    eof_ = false;
 
     // Fault injection on the tail: a stalled tail reports Waiting
     // without touching the file (the consumer's liveness handling —
@@ -960,161 +903,50 @@ SegmentTailReader::poll(std::vector<SegTailSegment> &segs)
     // segment sealed to disk and then rotted under the reader.
     if (fault::at("stream.tail.stall"))
         return TailPollStatus::Waiting;
-    const bool damageAppend = fault::at("stream.tail.damage");
-    const std::size_t bufBefore = buf_.size();
+    bool damageAppend = fault::at("stream.tail.damage");
 
-    // Pull every newly appended byte.  On a regular file read()
-    // returns 0 at the current EOF; a later poll() sees appends.
-    std::uint8_t chunk[1 << 16];
-    for (;;) {
-        const ssize_t r = ::read(fd_, chunk, sizeof(chunk));
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return fail(seen_, std::string("read failed: ") +
-                                   std::strerror(errno));
-        }
-        if (r == 0)
-            break;
-        buf_.insert(buf_.end(), chunk, chunk + r);
+    TailPollStatus st = decodeBuffered(segs);
+    while (st == TailPollStatus::Waiting) {
+        // Nothing decodable is buffered: read up to one more chunk.
+        // On a regular file read() returns 0 at the current EOF; a
+        // later poll() sees appends.
+        const std::size_t have = buf_.size();
+        buf_.resize(have + kChunkBytes);
+        ssize_t r;
+        do {
+            r = ::read(fd_, buf_.data() + have, kChunkBytes);
+        } while (r < 0 && errno == EINTR);
+        buf_.resize(have + static_cast<std::size_t>(r > 0 ? r : 0));
+        if (r < 0)
+            return scan_.damage(seen_, std::string("read failed: ") +
+                                           std::strerror(errno));
+        eof_ = r == 0;
+        if (eof_)
+            return scan_.finSeen() && buf_.empty()
+                       ? TailPollStatus::Fin
+                       : TailPollStatus::Waiting;
         seen_ += static_cast<std::uint64_t>(r);
-    }
-    if (damageAppend && buf_.size() > bufBefore)
-        buf_.back() ^= 0x01;
-
-    // The magic is just a fixed 8-byte prefix frame.
-    std::size_t pos = 0; // into buf_, which starts at offset consumed_
-    if (!magicOk_) {
-        if (consumed_ != 0)
-            return fail(consumed_, "internal: resumed before magic");
-        if (buf_.size() < sizeof(kSegMagic))
-            return TailPollStatus::Waiting;
-        if (std::memcmp(buf_.data(), kSegMagic, sizeof(kSegMagic)) !=
-            0)
-            return fail(0, "not a segmented trace (bad magic)");
-        magicOk_ = true;
-        pos = sizeof(kSegMagic);
-    }
-
-    bool progressed = pos > 0;
-    for (;;) {
-        const std::uint64_t frameStart = consumed_ + pos;
-        const std::size_t avail = buf_.size() - pos;
-        if (avail == 0)
-            break;
-        if (finSeen_)
-            return fail(frameStart,
-                        "segmented trace: segment after FIN");
-        if (avail < 4)
-            break; // mid-length: more may come
-        const std::uint32_t len = readLe32(buf_.data() + pos);
-        if (len == 0 || len > kMaxSegmentBytes) {
-            // No append can make this frame valid.
-            return fail(frameStart, "truncated or oversized segment");
+        if (damageAppend) {
+            buf_.back() ^= 0x01;
+            damageAppend = false;
         }
-        if (len + 8ull > avail)
-            break; // mid-frame: more may come
-        const std::uint8_t *payload = buf_.data() + pos + 4;
-        const std::uint32_t stored = readLe32(payload + len);
-        if (crc32(payload, len) != stored) {
-            // The frame is fully present yet fails its checksum:
-            // a torn/corrupt write, damaged no matter what follows.
-            return fail(frameStart, "segment checksum mismatch");
-        }
-        SegTailSegment seg;
-        try {
-            if (parseSegmentPayload(payload, len, finSeen_, seg,
-                                    fin_)) {
-                finSeen_ = true;
-            } else {
-                droppedSoFar_ = seg.droppedSoFar;
-                events_ += seg.events.size();
-                for (const SegFileEvent &ev : seg.events)
-                    ops_ += ev.opCount;
-                segs.push_back(std::move(seg));
-            }
-        } catch (const wire::ParseFailure &pf) {
-            return fail(frameStart, pf.message);
-        }
-        ++segments_;
-        pos += 4ull + len + 4;
-        progressed = true;
+        st = decodeBuffered(segs);
     }
-
-    // Drop consumed bytes; keep the unconsumed tail buffered.
-    if (pos > 0) {
-        buf_.erase(buf_.begin(),
-                   buf_.begin() + static_cast<std::ptrdiff_t>(pos));
-        consumed_ += pos;
-    }
-    if (finSeen_ && buf_.empty())
-        return TailPollStatus::Fin;
-    return progressed ? TailPollStatus::Progress
-                      : TailPollStatus::Waiting;
+    return st;
 }
 
 bool
 SegmentTailReader::finalize(bool strict)
 {
-    finalized_ = true;
-
-    // No decodable magic: mirror readSegmented's FormatError — both
-    // strict and salvage reject such a file outright.
-    if (!magicOk_) {
-        error_ = damageNote_.empty()
-                     ? "not a segmented trace (bad magic)"
-                     : damageNote_;
-        salvage_.salvaged = true;
-        salvage_.note = error_;
-        return false;
+    // Judge the whole file: bytes past a damaged frame were never
+    // read, yet they are dropped all the same.
+    std::uint64_t size = seen_;
+    if (fd_ >= 0) {
+        const off_t end = ::lseek(fd_, 0, SEEK_END);
+        if (end > 0)
+            size = std::max(size, static_cast<std::uint64_t>(end));
     }
-
-    // An unconsumed tail at final EOF is damage after all — exactly
-    // what trySalvageTrace would have said about the same bytes.
-    std::uint64_t damageAt = damaged_ ? damageAt_ : consumed_;
-    std::string note = damageNote_;
-    if (!damaged_ && !buf_.empty()) {
-        note = buf_.size() < 4 ? "truncated segment length"
-                               : "truncated or oversized segment";
-    }
-    const bool anyDamage = damaged_ || !buf_.empty();
-
-    salvage_.finSeen = finSeen_;
-    salvage_.segmentsRecovered = segments_;
-    salvage_.segmentsDropped = anyDamage && seen_ > damageAt ? 1 : 0;
-    salvage_.bytesDropped = anyDamage ? seen_ - damageAt : 0;
-    salvage_.eventsRecovered = events_;
-    salvage_.opsRecovered = ops_;
-    salvage_.droppedDataRecords =
-        finSeen_ ? fin_.droppedRecords : droppedSoFar_;
-    salvage_.note = anyDamage ? note : "";
-    salvage_.salvaged = !finSeen_ || salvage_.segmentsDropped > 0 ||
-                        salvage_.bytesDropped > 0;
-    if (salvage_.salvaged && salvage_.note.empty())
-        salvage_.note = "no FIN segment (recording did not shut down "
-                        "cleanly)";
-
-    if (strict) {
-        if (anyDamage) {
-            char buf[512];
-            std::snprintf(buf, sizeof(buf),
-                          "segmented trace: %s (offset %llu); a "
-                          "partial recording can be recovered with "
-                          "salvage",
-                          note.c_str(),
-                          static_cast<unsigned long long>(damageAt));
-            error_ = buf;
-            return false;
-        }
-        if (!finSeen_) {
-            error_ = "segmented trace: missing FIN segment — the "
-                     "recording did not shut down cleanly; a "
-                     "partial recording can be recovered with "
-                     "salvage";
-            return false;
-        }
-    }
-    return true;
+    return scan_.finish(strict, size);
 }
 
 } // namespace wmr

@@ -1,12 +1,9 @@
 /**
  * @file
- * The segmented, checksummed trace container ("WMRSEG01") — the
- * crash-resilient sibling of the classic single-blob EVENT format.
+ * The segmented, checksummed trace container ("WMRSEG01") — the one
+ * trace format wmrace writes.
  *
- * The classic container (trace_io.hh) is written in one shot at the
- * end of a recording, so the executions most worth debugging — the
- * ones that crash or wedge on a race — lose their trace entirely.
- * This container is APPEND-ONLY: the recorder spills sealed events
+ * The container is APPEND-ONLY: the recorder spills sealed events
  * incrementally as framed segments, each protected by a length
  * header and a CRC-32 footer, so whatever prefix reached the disk
  * before a crash is recoverable:
@@ -23,18 +20,13 @@
  *                 (strictly increasing word ids, delta-coded)
  *
  * A final 'F' (FIN) segment marks a clean shutdown and carries the
- * authoritative shape plus the Drop-policy loss count.  Readers:
+ * authoritative shape plus the Drop-policy loss count.
  *
- *  - tryReadSegmentedTraceFile(): STRICT — every frame must verify
- *    and the FIN must be present (a complete recording);
- *  - trySalvageTraceFile(): TOLERANT — recovers the longest valid
- *    checksummed segment prefix of a truncated/corrupt file and
- *    reports what was lost, so analysis can still run on the prefix.
- *
- * Integration: tryReadTraceFile() (trace_io.hh) sniffs this magic
- * and delegates to the strict reader, so `wmrace check`/`batch`
- * accept both containers transparently; the salvage reader is the
- * abnormal-exit path of `wmrace record` and `wmrace batch`.
+ * One frame walker, SegmentScanner, reads every WMRSEG01 byte: the
+ * whole-buffer readers below walk the caller's bytes in place, and
+ * SegmentTailReader feeds it a file in bounded chunks.  Consumers
+ * normally go through the loader in trace_io.hh, which picks the
+ * strict or salvage reader by the magic and the caller's mode.
  */
 
 #ifndef WMR_TRACE_SEGMENTED_IO_HH
@@ -53,64 +45,8 @@ namespace wmr {
  *  container magic. */
 bool looksSegmented(const std::uint8_t *data, std::size_t n);
 
-/** What a (possibly partial) segmented read recovered and lost. */
-struct SalvageInfo
-{
-    /** A FIN segment was decoded: the recording shut down cleanly. */
-    bool finSeen = false;
-
-    /** The file was incomplete or damaged: no FIN, or a bad tail. */
-    bool salvaged = false;
-
-    std::uint64_t segmentsRecovered = 0;
-
-    /** Damaged/undecodable trailing frames (0 when only the FIN is
-     *  missing — e.g. the recorder was SIGKILLed between spills). */
-    std::uint64_t segmentsDropped = 0;
-
-    /** Bytes of the file discarded after the last valid segment. */
-    std::uint64_t bytesDropped = 0;
-
-    std::uint64_t eventsRecovered = 0;
-    std::uint64_t opsRecovered = 0;
-
-    /** Acquire events whose paired release fell outside the
-     *  recovered prefix (their so1 edge is dropped). */
-    std::uint64_t unresolvedPairings = 0;
-
-    /** Data records lost to the recorder's Drop overflow policy, as
-     *  of the last recovered segment (FIN value when finSeen). */
-    std::uint64_t droppedDataRecords = 0;
-
-    /** Why recovery stopped (empty for a clean, complete file). */
-    std::string note;
-
-    /** @return a one-line human summary ("complete" when clean). */
-    std::string summary() const;
-};
-
-/** Outcome of a segmented read/salvage. */
-struct SegTraceReadResult
-{
-    TraceIoStatus status = TraceIoStatus::Ok;
-    ExecutionTrace trace;
-    std::string error;
-    SalvageInfo salvage;
-
-    bool ok() const { return status == TraceIoStatus::Ok; }
-};
-
-/**
- * Render the report header lines stating what an analyzed trace
- * actually is — salvage provenance and recorder-side data loss — so
- * a partial or Drop-mode trace can never masquerade as a complete
- * one.  Empty for a non-segmented or clean, lossless trace.  Both
- * `wmrace check` and the serve subsystem emit EXACTLY this string
- * ahead of the report, which is what keeps a served analysis
- * byte-identical to a local one.
- */
-std::string formatTraceProvenance(bool segmented,
-                                  const SalvageInfo &salvage);
+/** A WMRSEG01 read has the loader's result type. */
+using SegTraceReadResult = TraceReadResult;
 
 /**
  * STRICT read of a complete segmented trace: all frames verify, FIN
@@ -119,18 +55,19 @@ std::string formatTraceProvenance(bool segmented,
  */
 SegTraceReadResult
 tryReadSegmentedTrace(const std::vector<std::uint8_t> &bytes);
-SegTraceReadResult
-tryReadSegmentedTraceFile(const std::string &path);
+
+/** The strict read of a file (the loader's I/O step first); any
+ *  other container is a FormatError. */
+SegTraceReadResult tryReadSegmentedTraceFile(const std::string &path);
 
 /**
  * TOLERANT read: recover the longest valid checksummed segment
- * prefix.  Only an unreadable file or an unrecognizable header (not
- * even the magic survives) fails; an empty prefix (zero segments)
- * comes back ok() with an empty trace and salvage.salvaged set.
+ * prefix.  An unrecognizable header (not even the magic survives)
+ * and a damaged file from which no event survives both fail;
+ * salvage.note says why recovery stopped.
  */
 SegTraceReadResult
 trySalvageTrace(const std::vector<std::uint8_t> &bytes);
-SegTraceReadResult trySalvageTraceFile(const std::string &path);
 
 /**
  * One decoded event in FILE order, exactly as framed on the wire:
@@ -173,7 +110,7 @@ struct SegTailSegment
     std::vector<SegFileEvent> events;
 };
 
-/** Outcome of one SegmentTailReader::poll(). */
+/** Outcome of one frame step or one SegmentTailReader::poll(). */
 enum class TailPollStatus : std::uint8_t
 {
     /** Decoded at least one new segment. */
@@ -195,17 +132,85 @@ enum class TailPollStatus : std::uint8_t
 };
 
 /**
- * Tail-follow segment reader: consume a WMRSEG01 file AS IT IS BEING
- * APPENDED, resuming from the offset after the last verified frame.
+ * The one WMRSEG01 frame walker.  Fed the file's bytes in order, it
+ * checks every frame the same way — length, then CRC, then payload
+ * (a frame after the FIN is payload damage) — and keeps the damage
+ * note, the salvage accounting and the strict error text, so every
+ * reader of the container reaches the same verdict on the same
+ * bytes.
+ */
+class SegmentScanner
+{
+  public:
+    /**
+     * Decode the frame at the head of [@p data, @p data + @p n),
+     * the bytes at file offset offset() (the magic first).
+     * Progress: a DATA frame, decoded into @p seg.  Fin: the FIN.
+     * Both advance offset() past the frame.  Waiting: the frame is
+     * incomplete.  Damaged: the frame can never verify.
+     */
+    TailPollStatus next(const std::uint8_t *data, std::size_t n,
+                        SegTailSegment &seg);
+
+    /**
+     * Close the scan of a @p fileBytes-long file.  Strict mode fails
+     * on any damage, an incomplete tail or a missing FIN; salvage
+     * mode fails only when no magic or no event survived.  @return
+     * whether the stream is acceptable; error() says why not.
+     */
+    bool finish(bool strict, std::uint64_t fileBytes);
+
+    /** File offset after the last verified frame (resume point). */
+    std::uint64_t offset() const { return offset_; }
+
+    bool finSeen() const { return finSeen_; }
+
+    /** FIN shape (valid when finSeen()). */
+    const SegShape &fin() const { return fin_; }
+
+    /** Recovery accounting (valid after finish(); unresolvedPairings
+     *  is left 0 — the event consumer owns it). */
+    const SalvageInfo &salvage() const { return salvage_; }
+
+    const std::string &error() const { return error_; }
+
+    /** Record damage found outside the frame checks (a failed
+     *  read) at file offset @p at.  @return Damaged. */
+    TailPollStatus damage(std::uint64_t at, std::string why);
+
+  private:
+    std::uint64_t offset_ = 0;
+    bool magicOk_ = false;
+    bool finSeen_ = false;
+    SegShape fin_;
+    std::uint64_t segments_ = 0;
+    std::uint64_t events_ = 0;
+    std::uint64_t ops_ = 0;
+    std::uint64_t droppedSoFar_ = 0;
+    bool damaged_ = false;
+    std::uint64_t damageAt_ = 0;
+    std::string note_;
+    SalvageInfo salvage_;
+    std::string error_;
+};
+
+/**
+ * Tail-follow segment reader: the SegmentScanner fed from a file
+ * descriptor AS THE FILE IS BEING APPENDED, resuming after the last
+ * verified frame.
  *
- * This is the live sibling of trySalvageTraceFile().  The salvage
- * reader sees a snapshot and must treat an incomplete tail as a torn
- * write; the tail reader instead distinguishes the two by liveness:
- * a mid-frame tail is Waiting while the writer may still append, and
+ * A snapshot reader must treat an incomplete tail as a torn write;
+ * the tail reader instead distinguishes the two by liveness: a
+ * mid-frame tail is Waiting while the writer may still append, and
  * becomes damage only when finalize() declares the stream over.
  * Damage that appending can never heal — a checksum mismatch on a
  * fully present frame, an impossible length — is reported as Damaged
  * immediately, even live.
+ *
+ * Memory is bounded on a finished file too: a poll reads at most
+ * kChunkBytes and returns once it has decoded a frame, so the
+ * caller holds one chunk plus one frame at a time.  A frame larger
+ * than a chunk is read to its end within the same poll.
  *
  * Usage:
  *   SegmentTailReader tail;
@@ -215,15 +220,16 @@ enum class TailPollStatus : std::uint8_t
  *   }
  *   tail.finalize(strict);           // writer exited / EOF is final
  *
- * After finalize(), salvage() carries the same accounting a
- * trySalvageTraceFile() of the final file would produce (except
- * unresolvedPairings, which only the event consumer can count), and
- * in strict mode error() carries the same message the strict reader
- * would raise.
+ * After finalize(), salvage() and error() are exactly what the
+ * whole-buffer reader of the final file reports (except
+ * unresolvedPairings, which only the event consumer can count).
  */
 class SegmentTailReader
 {
   public:
+    /** Most bytes one poll() reads before it decodes. */
+    static constexpr std::size_t kChunkBytes = 1u << 20;
+
     SegmentTailReader() = default;
     ~SegmentTailReader();
 
@@ -236,65 +242,58 @@ class SegmentTailReader
     bool isOpen() const { return fd_ >= 0; }
 
     /**
-     * Read newly appended bytes and decode every complete frame,
-     * appending decoded DATA segments to @p segs.  @return Progress
-     * when ≥1 frame (data or FIN) was consumed, otherwise the
-     * terminal/waiting status.
+     * Read newly appended bytes, at most a chunk unless one frame
+     * needs more, and decode every complete frame, appending DATA
+     * segments to @p segs.  @return Progress when a frame was
+     * consumed, Fin once the FIN was decoded and the file ends
+     * there, otherwise Waiting or Damaged.
      */
     TailPollStatus poll(std::vector<SegTailSegment> &segs);
 
     /**
      * Declare that no more data will arrive (writer exited, or the
-     * file was complete on disk to begin with).  Strict mode fails
-     * (error() set, matching tryReadSegmentedTrace messages) on any
-     * damage, incomplete tail, or missing FIN; tolerant mode folds
-     * the outcome into salvage() exactly as trySalvageTrace would.
-     * @return whether the stream is acceptable under @p strict.
+     * file was complete on disk to begin with) and judge the stream
+     * as SegmentScanner::finish() does.
      */
     bool finalize(bool strict);
 
-    /** Scan-level salvage accounting (valid after finalize();
-     *  unresolvedPairings is left 0 — the consumer owns it). */
-    const SalvageInfo &salvage() const { return salvage_; }
+    const SalvageInfo &salvage() const { return scan_.salvage(); }
 
-    bool finSeen() const { return finSeen_; }
+    bool finSeen() const { return scan_.finSeen(); }
 
     /** FIN shape (valid when finSeen()). */
-    const SegShape &fin() const { return fin_; }
+    const SegShape &fin() const { return scan_.fin(); }
 
     /** File offset after the last verified frame (resume point). */
-    std::uint64_t offset() const { return consumed_; }
+    std::uint64_t offset() const { return scan_.offset(); }
 
-    /** Total file bytes observed so far. */
+    /** Total file bytes read so far. */
     std::uint64_t bytesSeen() const { return seen_; }
 
-    std::uint64_t segmentsRead() const { return segments_; }
-    std::uint64_t eventsRead() const { return events_; }
+    /** The last poll() read up to the current end of the file.  A
+     *  stalled poll reads nothing and leaves this false, so a
+     *  consumer whose writer is gone keeps polling until it holds. */
+    bool atEof() const { return eof_; }
 
-    const std::string &error() const { return error_; }
+    const std::string &
+    error() const
+    {
+        return error_.empty() ? scan_.error() : error_;
+    }
 
   private:
-    TailPollStatus fail(std::uint64_t at, const std::string &why);
+    /** Decode every complete buffered frame; @return Damaged, or
+     *  whether any frame was consumed (Progress) or not (Waiting). */
+    TailPollStatus decodeBuffered(std::vector<SegTailSegment> &segs);
 
     int fd_ = -1;
-    std::uint64_t consumed_ = 0; // offset after last verified frame
-    std::uint64_t seen_ = 0;     // total bytes read from the file
+    SegmentScanner scan_;
+    std::uint64_t seen_ = 0;
+    bool eof_ = false;
 
-    /** Unconsumed bytes [consumed_, seen_). */
+    /** Unconsumed bytes [scan_.offset(), seen_). */
     std::vector<std::uint8_t> buf_;
 
-    bool magicOk_ = false;
-    bool finSeen_ = false;
-    bool damaged_ = false;
-    bool finalized_ = false;
-    SegShape fin_;
-    std::uint64_t segments_ = 0;
-    std::uint64_t events_ = 0;
-    std::uint64_t ops_ = 0;
-    std::uint64_t droppedSoFar_ = 0;
-    std::uint64_t damageAt_ = 0;
-    std::string damageNote_;
-    SalvageInfo salvage_;
     std::string error_;
 };
 

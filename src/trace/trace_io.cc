@@ -1,11 +1,13 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <new>
 
-#include "common/logging.hh"
+#include "fault/fault.hh"
 #include "obs/obs.hh"
 #include "trace/segmented_io.hh"
 #include "trace/wire_codec.hh"
@@ -15,11 +17,11 @@ namespace wmr {
 namespace {
 
 using wire::Decoder;
-using wire::Encoder;
 using wire::ParseFailure;
 using wire::parseFail;
 
-constexpr char kMagic[8] = {'W', 'M', 'R', 'T', 'R', 'C', '0', '1'};
+constexpr char kLegacyMagic[8] = {'W', 'M', 'R', 'T',
+                                  'R', 'C', '0', '1'};
 constexpr char kFullOpMagic[8] = {'W', 'M', 'R', 'F',
                                   'O', 'P', '0', '1'};
 
@@ -42,60 +44,27 @@ printableMagic(const char magic[8])
     return out;
 }
 
-} // namespace
-
-std::vector<std::uint8_t>
-serializeTrace(const ExecutionTrace &trace)
-{
-    Encoder enc;
-    enc.raw(kMagic, sizeof(kMagic));
-    enc.u64(trace.numProcs());
-    enc.u64(trace.memWords());
-    enc.u64(trace.firstStaleRead());
-    enc.u64(trace.totalOps());
-    enc.u64(trace.events().size());
-    for (const auto &ev : trace.events()) {
-        enc.u64(ev.kind == EventKind::Sync ? 1 : 0);
-        enc.u64(ev.proc);
-        enc.u64(ev.firstOp);
-        enc.u64(ev.lastOp);
-        enc.u64(ev.opCount);
-        if (ev.kind == EventKind::Sync) {
-            wire::encodeMemOp(enc, ev.syncOp);
-            enc.u64(ev.pairedRelease);
-        } else {
-            wire::encodeBitset(enc, ev.readSet);
-            wire::encodeBitset(enc, ev.writeSet);
-            enc.u64(ev.memberOps.size());
-            for (const auto oid : ev.memberOps)
-                enc.u64(oid);
-        }
-    }
-    return enc.take();
-}
-
-namespace {
-
-/** The parse proper; throws ParseFailure on malformed input. */
+/** The legacy WMRTRC01 decoder; throws ParseFailure when malformed. */
 ExecutionTrace
-decodeTraceOrThrow(const std::vector<std::uint8_t> &bytes)
+decodeLegacyOrThrow(const std::vector<std::uint8_t> &bytes)
 {
     Decoder dec(bytes);
-    if (bytes.size() < sizeof(kMagic)) {
+    if (bytes.size() < sizeof(kLegacyMagic)) {
         parseFail("trace file: %zu byte(s) is shorter than any "
                   "wmrace container header",
                   bytes.size());
     }
-    char magic[sizeof(kMagic)];
+    char magic[sizeof(kLegacyMagic)];
     dec.raw(magic, sizeof(magic));
-    if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    if (std::memcmp(magic, kLegacyMagic, sizeof(kLegacyMagic)) != 0) {
         // Name the format we DID recognize, or print the magic we
         // didn't: serve/batch report malformed uploads precisely
         // instead of a generic failure.
         if (std::memcmp(magic, kFullOpMagic,
                         sizeof(kFullOpMagic)) == 0) {
-            parseFail("trace file: this is a full-op file "
-                      "(WMRFOP01); use the full-op reader");
+            parseFail("trace file: this is a full-op file (WMRFOP01), "
+                      "the bench-only per-operation encoding, not a "
+                      "trace");
         }
         parseFail("trace file: unrecognized magic \"%s\" (expected "
                   "WMRTRC01, WMRSEG01 or WMRFOP01)",
@@ -131,7 +100,7 @@ decodeTraceOrThrow(const std::vector<std::uint8_t> &bytes)
         const std::uint64_t proc = dec.u64();
         if (proc >= procs)
             parseFail("trace file: event processor %llu out of range",
-                  static_cast<unsigned long long>(proc));
+                      static_cast<unsigned long long>(proc));
         ev.proc = static_cast<ProcId>(proc);
         ev.firstOp = dec.u64();
         ev.lastOp = dec.u64();
@@ -165,23 +134,121 @@ decodeTraceOrThrow(const std::vector<std::uint8_t> &bytes)
 
 } // namespace
 
-TraceReadResult
-tryDeserializeTrace(const std::vector<std::uint8_t> &bytes)
+std::string
+SalvageInfo::summary() const
 {
-    // Transparently accept the segmented container (strict read —
-    // a damaged segmented file is routed to the salvage reader by
-    // the callers that want tolerance).
-    if (looksSegmented(bytes.data(), bytes.size())) {
-        auto seg = tryReadSegmentedTrace(bytes);
-        TraceReadResult res;
-        res.status = seg.status;
-        res.error = std::move(seg.error);
-        res.trace = std::move(seg.trace);
-        return res;
+    char buf[256];
+    if (!salvaged) {
+        std::snprintf(buf, sizeof(buf),
+                      "complete (%llu segments, %llu events)",
+                      static_cast<unsigned long long>(
+                          segmentsRecovered),
+                      static_cast<unsigned long long>(
+                          eventsRecovered));
+        return buf;
     }
+    std::snprintf(
+        buf, sizeof(buf),
+        "salvaged %llu events (%llu ops) from %llu segments; "
+        "%llu damaged segment(s), %llu bytes dropped",
+        static_cast<unsigned long long>(eventsRecovered),
+        static_cast<unsigned long long>(opsRecovered),
+        static_cast<unsigned long long>(segmentsRecovered),
+        static_cast<unsigned long long>(segmentsDropped),
+        static_cast<unsigned long long>(bytesDropped));
+    std::string s = buf;
+    if (!note.empty())
+        s += "; " + note;
+    return s;
+}
+
+std::string
+formatTraceProvenance(bool segmented, const SalvageInfo &salvage)
+{
+    if (!segmented)
+        return "";
+    std::string out;
+    char buf[256];
+    if (salvage.salvaged) {
+        out += "SALVAGED trace: " + salvage.summary() + "\n";
+        if (salvage.unresolvedPairings > 0) {
+            std::snprintf(buf, sizeof(buf),
+                          "  %llu release->acquire pairing(s) lost "
+                          "with the dropped tail\n",
+                          static_cast<unsigned long long>(
+                              salvage.unresolvedPairings));
+            out += buf;
+        }
+    }
+    if (salvage.droppedDataRecords > 0) {
+        std::snprintf(buf, sizeof(buf),
+                      "RECORDER LOSS: %llu data record(s) dropped "
+                      "by the ring-overflow Drop policy; computation "
+                      "events undercount accordingly\n",
+                      static_cast<unsigned long long>(
+                          salvage.droppedDataRecords));
+        out += buf;
+    }
+    return out;
+}
+
+bool
+fileLooksSegmented(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::uint8_t head[8] = {};
+    return in.read(reinterpret_cast<char *>(head), sizeof(head)) &&
+           looksSegmented(head, sizeof(head));
+}
+
+TraceIoStatus
+readTraceBytes(const std::string &path,
+               std::vector<std::uint8_t> &bytes, std::string &error)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        error = "cannot open trace file '" + path + "': " +
+                std::strerror(errno);
+        return TraceIoStatus::IoError;
+    }
+    in.seekg(0, std::ios::end);
+    const auto size = in.tellg();
+    in.seekg(0, std::ios::beg);
+    bytes.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
+    if (!bytes.empty() &&
+        !in.read(reinterpret_cast<char *>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size()))) {
+        error = "read error on trace file '" + path + "'";
+        return TraceIoStatus::IoError;
+    }
+    // Fault injection on the read boundary: a short read drops the
+    // file's tail (param = bytes to drop) but never the 8-byte
+    // container magic, a bit-flip corrupts one byte (param = byte
+    // offset).  Both land AFTER a successful read, modelling storage
+    // rot rather than syscall failure — the frame CRCs must turn
+    // either into typed damage, never a wrong report.
+    std::uint64_t p = 0;
+    if (fault::at("trace.read.short", &p) && bytes.size() > 8) {
+        const std::size_t drop = std::min<std::uint64_t>(
+            std::max<std::uint64_t>(p, 1), bytes.size() - 8);
+        bytes.resize(bytes.size() - drop);
+    }
+    if (fault::at("trace.read.bitflip", &p) && !bytes.empty())
+        bytes[p % bytes.size()] ^= 0x01;
+    return TraceIoStatus::Ok;
+}
+
+TraceReadResult
+tryDeserializeTrace(const std::vector<std::uint8_t> &bytes,
+                    bool salvage)
+{
+    if (looksSegmented(bytes.data(), bytes.size()))
+        return salvage ? trySalvageTrace(bytes)
+                       : tryReadSegmentedTrace(bytes);
+
     TraceReadResult res;
     try {
-        res.trace = decodeTraceOrThrow(bytes);
+        res.trace = decodeLegacyOrThrow(bytes);
     } catch (const ParseFailure &pf) {
         res.status = TraceIoStatus::FormatError;
         res.error = pf.message;
@@ -193,145 +260,17 @@ tryDeserializeTrace(const std::vector<std::uint8_t> &bytes)
 }
 
 TraceReadResult
-tryReadTraceFile(const std::string &path)
+tryReadTraceFile(const std::string &path, bool salvage)
 {
     obs::Span span("trace.read");
     span.annotate(path);
     obs::counter("trace.file_reads").inc();
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        TraceReadResult res;
-        res.status = TraceIoStatus::IoError;
-        res.error = "cannot open trace file '" + path + "'";
-        return res;
-    }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        TraceReadResult res;
-        res.status = TraceIoStatus::IoError;
-        res.error = "read error on trace file '" + path + "'";
-        return res;
-    }
-    return tryDeserializeTrace(bytes);
-}
-
-ExecutionTrace
-deserializeTrace(const std::vector<std::uint8_t> &bytes)
-{
-    auto res = tryDeserializeTrace(bytes);
+    std::vector<std::uint8_t> bytes;
+    TraceReadResult res;
+    res.status = readTraceBytes(path, bytes, res.error);
     if (!res.ok())
-        fatal("%s", res.error.c_str());
-    return std::move(res.trace);
-}
-
-std::size_t
-writeTraceFile(const ExecutionTrace &trace, const std::string &path)
-{
-    const auto bytes = serializeTrace(trace);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        fatal("cannot open trace file '%s' for writing", path.c_str());
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out)
-        fatal("short write to trace file '%s'", path.c_str());
-    return bytes.size();
-}
-
-ExecutionTrace
-readTraceFile(const std::string &path)
-{
-    auto res = tryReadTraceFile(path);
-    if (!res.ok())
-        fatal("%s", res.error.c_str());
-    return std::move(res.trace);
-}
-
-std::vector<std::uint8_t>
-serializeFullOps(const std::vector<MemOp> &ops)
-{
-    Encoder enc;
-    enc.raw(kFullOpMagic, sizeof(kFullOpMagic));
-    enc.u64(ops.size());
-    for (const auto &op : ops)
-        wire::encodeMemOp(enc, op);
-    return enc.take();
-}
-
-namespace {
-
-/** The full-op parse proper; throws ParseFailure when malformed. */
-std::vector<MemOp>
-decodeFullOpsOrThrow(const std::vector<std::uint8_t> &bytes)
-{
-    Decoder dec(bytes);
-    char magic[sizeof(kFullOpMagic)];
-    dec.raw(magic, sizeof(magic));
-    if (std::memcmp(magic, kFullOpMagic, sizeof(kFullOpMagic)) != 0) {
-        if (std::memcmp(magic, kMagic, sizeof(kMagic)) == 0)
-            parseFail("full-op file: this is an event-format trace "
-                      "(use the trace reader)");
-        if (looksSegmented(
-                reinterpret_cast<const std::uint8_t *>(magic),
-                sizeof(magic)))
-            parseFail("full-op file: this is a segmented event trace "
-                      "(use the trace reader)");
-        parseFail("full-op file: unrecognized magic \"%s\" (expected "
-                  "WMRFOP01, WMRTRC01 or WMRSEG01)",
-                  printableMagic(magic).c_str());
-    }
-    const std::uint64_t count = dec.u64();
-    // Each op encodes to >= 10 bytes, but 1 byte/op is enough of a
-    // bound to turn an absurd header count into an error, not an OOM.
-    dec.checkCount(count, "full-op");
-    std::vector<MemOp> ops;
-    ops.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i)
-        ops.push_back(wire::decodeMemOp(dec));
-    if (!dec.done())
-        parseFail("full-op file: trailing bytes");
-    return ops;
-}
-
-} // namespace
-
-FullOpsReadResult
-tryDeserializeFullOps(const std::vector<std::uint8_t> &bytes)
-{
-    FullOpsReadResult res;
-    try {
-        res.ops = decodeFullOpsOrThrow(bytes);
-    } catch (const ParseFailure &pf) {
-        res.status = TraceIoStatus::FormatError;
-        res.error = pf.message;
-    } catch (const std::bad_alloc &) {
-        res.status = TraceIoStatus::FormatError;
-        res.error = "full-op file: allocation failure during parse";
-    }
-    return res;
-}
-
-FullOpsReadResult
-tryReadFullOpsFile(const std::string &path)
-{
-    FullOpsReadResult res;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        res.status = TraceIoStatus::IoError;
-        res.error = "cannot open full-op file '" + path + "'";
         return res;
-    }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        res.status = TraceIoStatus::IoError;
-        res.error = "read error on full-op file '" + path + "'";
-        return res;
-    }
-    return tryDeserializeFullOps(bytes);
+    return tryDeserializeTrace(bytes, salvage);
 }
 
 } // namespace wmr

@@ -1,21 +1,27 @@
 /**
  * @file
- * Binary trace-file serialization for the post-mortem workflow.
+ * The one trace loader of the post-mortem workflow.
  *
  * The paper's method is post-mortem: the instrumented execution
- * writes trace files, a later analysis phase reads them back and
- * runs the detector.  Two formats are provided:
+ * writes a trace file, a later analysis phase reads it back and runs
+ * the detector.  Every consumer — `wmrace check`/`record`, the batch
+ * pipeline and the serve daemon — reads through tryReadTraceFile() /
+ * tryDeserializeTrace(), which tell the containers apart by their
+ * 8-byte magic:
  *
- *  - the EVENT format (what Section 4.1 proposes): per-processor
- *    event streams with bit-vector READ/WRITE sets and sync pairing;
- *  - the FULL-OP format (the strawman Section 4.1 rejects): one
- *    record per memory operation, used by bench_sec5_overhead to
- *    measure how much the event abstraction saves.
+ *  - "WMRSEG01" (segmented_io.hh): the per-processor EVENT stream of
+ *    Section 4.1 in checksummed, appendable segments — the only
+ *    format any wmrace writer emits.  Read strictly (every frame
+ *    verifies, FIN present) or in salvage mode (the longest valid
+ *    prefix, with the loss stated in SalvageInfo);
+ *  - "WMRTRC01": the single-blob EVENT container of older
+ *    recordings, kept as a read-only decoder (bit-vector READ/WRITE
+ *    sets, sync pairing, optional member ops) so old files still
+ *    analyze.  It has no checksum and no salvage mode.
  *
- * Encoding: little-endian, varint-compressed unsigned integers, with
- * an 8-byte magic + version header.  The two formats carry distinct
- * magics ("WMRTRC01" vs "WMRFOP01") so each reader can reject the
- * other's files with a clear error instead of misparsing them.
+ * Malformed input never aborts: it comes back as a typed FormatError
+ * with the reason, so batch and serve consumers record a per-trace
+ * failure and keep going.
  */
 
 #ifndef WMR_TRACE_TRACE_IO_HH
@@ -36,11 +42,43 @@ enum class TraceIoStatus : std::uint8_t {
     FormatError, ///< bytes are not a well-formed trace
 };
 
-/**
- * Outcome of a recoverable trace parse/read.  Malformed input is
- * reported here instead of killing the process, so batch consumers
- * (src/pipeline) can record a per-trace failure and keep going.
- */
+/** What a (possibly partial) WMRSEG01 read recovered and lost. */
+struct SalvageInfo
+{
+    /** A FIN segment was decoded: the recording shut down cleanly. */
+    bool finSeen = false;
+
+    /** The file was incomplete or damaged: no FIN, or a bad tail. */
+    bool salvaged = false;
+
+    std::uint64_t segmentsRecovered = 0;
+
+    /** Damaged/undecodable trailing frames (0 when only the FIN is
+     *  missing — e.g. the recorder was SIGKILLed between spills). */
+    std::uint64_t segmentsDropped = 0;
+
+    /** Bytes of the file discarded after the last valid segment. */
+    std::uint64_t bytesDropped = 0;
+
+    std::uint64_t eventsRecovered = 0;
+    std::uint64_t opsRecovered = 0;
+
+    /** Acquire events whose paired release fell outside the
+     *  recovered prefix (their so1 edge is dropped). */
+    std::uint64_t unresolvedPairings = 0;
+
+    /** Data records lost to the recorder's Drop overflow policy, as
+     *  of the last recovered segment (FIN value when finSeen). */
+    std::uint64_t droppedDataRecords = 0;
+
+    /** Why recovery stopped (empty for a clean, complete file). */
+    std::string note;
+
+    /** @return a one-line human summary ("complete" when clean). */
+    std::string summary() const;
+};
+
+/** Outcome of a load: the trace plus its provenance. */
 struct TraceReadResult
 {
     TraceIoStatus status = TraceIoStatus::Ok;
@@ -51,79 +89,58 @@ struct TraceReadResult
     /** Human-readable failure reason; empty when ok(). */
     std::string error;
 
-    bool ok() const { return status == TraceIoStatus::Ok; }
-};
+    /** The bytes carried the WMRSEG01 magic (set even on failure,
+     *  so callers can point a strict failure at salvage). */
+    bool segmented = false;
 
-/** Serialize @p trace into a byte buffer (event format). */
-std::vector<std::uint8_t> serializeTrace(const ExecutionTrace &trace);
-
-/**
- * Parse an event-format buffer.  Never aborts: truncated, corrupt or
- * oversized input yields a FormatError result with the reason.
- */
-TraceReadResult
-tryDeserializeTrace(const std::vector<std::uint8_t> &bytes);
-
-/**
- * Read and parse an event-format trace file.  Never aborts: I/O
- * problems yield IoError, malformed bytes yield FormatError.
- */
-TraceReadResult tryReadTraceFile(const std::string &path);
-
-/**
- * Parse an event-format buffer; fatal() on malformed input.  Thin
- * wrapper over tryDeserializeTrace() for single-trace tools.
- */
-ExecutionTrace deserializeTrace(const std::vector<std::uint8_t> &bytes);
-
-/** Write @p trace to @p path (event format). @return bytes written. */
-std::size_t writeTraceFile(const ExecutionTrace &trace,
-                           const std::string &path);
-
-/**
- * Read an event-format trace file; fatal() on I/O or parse error.
- * Thin wrapper over tryReadTraceFile() for single-trace tools.
- */
-ExecutionTrace readTraceFile(const std::string &path);
-
-/**
- * Serialize every memory operation of @p ops (full-op format).
- * @return the encoded bytes; used for overhead comparison only.
- */
-std::vector<std::uint8_t>
-serializeFullOps(const std::vector<MemOp> &ops);
-
-/**
- * Outcome of a recoverable full-op parse/read.  Mirrors
- * TraceReadResult so batch consumers can treat a malformed full-op
- * buffer as a per-file failure and keep going.
- */
-struct FullOpsReadResult
-{
-    TraceIoStatus status = TraceIoStatus::Ok;
-
-    /** The decoded operations; meaningful only when ok(). */
-    std::vector<MemOp> ops;
-
-    /** Human-readable failure reason; empty when ok(). */
-    std::string error;
+    /** WMRSEG01 recovery accounting (default for WMRTRC01). */
+    SalvageInfo salvage;
 
     bool ok() const { return status == TraceIoStatus::Ok; }
 };
 
 /**
- * Parse a full-op-format buffer.  Never aborts: truncated, corrupt,
- * oversized or wrong-format input (e.g. an event-format trace) yields
- * a FormatError result with the reason.
+ * @return whether the file at @p path starts with the WMRSEG01 magic
+ * (false when unreadable).  Reads only those 8 bytes: how a consumer
+ * that can stream (batch --stream, check --stream) picks its path
+ * without reading the whole file first.
  */
-FullOpsReadResult
-tryDeserializeFullOps(const std::vector<std::uint8_t> &bytes);
+bool fileLooksSegmented(const std::string &path);
 
 /**
- * Read and parse a full-op-format file.  Never aborts: I/O problems
- * yield IoError, malformed bytes yield FormatError.
+ * The loader's I/O step: read the whole file at @p path into
+ * @p bytes.  The trace.read.short / trace.read.bitflip fault sites
+ * (docs/FAULTS.md) sit here, so every whole-file consumer passes
+ * them.  @return Ok or IoError (with @p error set).
  */
-FullOpsReadResult tryReadFullOpsFile(const std::string &path);
+TraceIoStatus readTraceBytes(const std::string &path,
+                             std::vector<std::uint8_t> &bytes,
+                             std::string &error);
+
+/**
+ * The loader's decode step.  WMRSEG01 bytes are read strictly, or
+ * with @p salvage as their longest valid prefix (a salvage that
+ * recovers no events is refused); WMRTRC01 bytes go to the legacy
+ * decoder, for which @p salvage changes nothing.
+ */
+TraceReadResult tryDeserializeTrace(const std::vector<std::uint8_t> &bytes,
+                                    bool salvage = false);
+
+/** readTraceBytes() then tryDeserializeTrace(). */
+TraceReadResult tryReadTraceFile(const std::string &path,
+                                 bool salvage = false);
+
+/**
+ * Render the report header lines stating what an analyzed trace
+ * actually is — salvage provenance and recorder-side data loss — so
+ * a partial or Drop-mode trace can never masquerade as a complete
+ * one.  Empty for a non-segmented or clean, lossless trace.  Every
+ * path (`check`, `check --stream`, `record`, serve) emits EXACTLY
+ * this string ahead of the report, which is what keeps their
+ * reports byte-identical.
+ */
+std::string formatTraceProvenance(bool segmented,
+                                  const SalvageInfo &salvage);
 
 } // namespace wmr
 

@@ -1,12 +1,9 @@
 /**
  * @file
- * The shared wire codec of every wmrace on-disk container: varint
- * encoder/decoder plus the MemOp and bitset encodings.
- *
- * Historically these lived as file-local helpers of trace_io.cc; the
- * segmented spill container (segmented_io.hh) reuses them so a MemOp
- * or a bitset is encoded identically no matter which container
- * carries it.  Everything here is header-only and allocation-light;
+ * The shared wire codec of the wmrace on-disk containers: varint
+ * encoder/decoder, the MemOp encoding (WMRSEG01 sync events, the
+ * serve protocol) and the bitset decoder of the read-only WMRTRC01
+ * container.  Everything here is header-only and allocation-light;
  * the containers themselves define file layout and error policy.
  *
  * Error policy: decoders throw wire::ParseFailure on malformed input.
@@ -165,30 +162,8 @@ class Decoder
     std::size_t pos_ = 0;
 };
 
-inline void
-encodeBitset(Encoder &enc, const DenseBitset &bs)
-{
-    // Two encodings: SPARSE (delta-coded set-bit indices; the common
-    // case — computation events touch a handful of the shared words)
-    // and DENSE (raw words) for heavily populated sets.
-    const std::size_t count = bs.count();
-    const bool sparse = count * 2 < bs.words().size() * 8;
-    enc.u64(bs.size());
-    enc.u64(sparse ? 1 : 0);
-    if (sparse) {
-        enc.u64(count);
-        std::uint64_t prev = 0;
-        bs.forEach([&](std::size_t i) {
-            enc.u64(i - prev);
-            prev = i;
-        });
-    } else {
-        enc.u64(bs.words().size());
-        for (const auto w : bs.words())
-            enc.u64(w);
-    }
-}
-
+/** The bitset encoding of the legacy WMRTRC01 container: SPARSE
+ *  (delta-coded set-bit indices) or DENSE (raw words). */
 inline DenseBitset
 decodeBitset(Decoder &dec)
 {

@@ -5,13 +5,17 @@
 #   tests/data/golden/regen.sh [path/to/wmrace]
 #
 # (default tool: build/tools/wmrace relative to the repo root).
-# Every trace here is a deterministic artifact: simulator traces are
-# a pure function of (program, model, seed), synthetic traces of
-# their gen-trace options, so regeneration is byte-stable — rerunning
-# this script on an unchanged tree produces an empty git diff.
-# Commit BOTH the .trace and .expected.txt files and review the diff
-# of the .expected.txt reports like source code: they are the
+# Every trace here is a deterministic WMRSEG01 artifact: simulator
+# traces are a pure function of (program, model, seed), synthetic
+# traces of their gen-trace options, so regeneration is byte-stable —
+# rerunning this script on an unchanged tree produces an empty git
+# diff.  Commit BOTH the .trace and .expected.txt files and review the
+# diff of the .expected.txt reports like source code: they are the
 # detector's contract.
+#
+# The legacy_*.trace inputs are frozen WMRTRC01 files, the container
+# older recordings used; no writer emits it any more, so this script
+# regenerates their reports but never their inputs.
 set -eu
 cd "$(dirname "$0")"
 REPO=../../..
@@ -62,19 +66,25 @@ check_to synth_p2.expected.txt synth_p2.trace
     --seed 33 --hot-fraction 0.6 >/dev/null
 check_to synth_hot.expected.txt synth_hot.trace
 
-# Segmented container (WMRSEG01), complete.
-"$WMRACE" gen-trace synth_seg.trace --segmented --procs 3 \
+# A complete recording.
+"$WMRACE" gen-trace synth_seg.trace --procs 3 \
     --events 150 --seed 8 >/dev/null
 check_to synth_seg.expected.txt synth_seg.trace
 
-# Segmented container, truncated mid-file: the salvage fixture.  The
-# full file is ~31 KB; keeping the first 9000 bytes drops the tail
-# (and the FIN segment), so `check --salvage` recovers a prefix and
-# says so in the report header.
-"$WMRACE" gen-trace synth_seg_damaged.trace --segmented --procs 3 \
+# Truncated mid-file: the salvage fixture.  The full file is ~31 KB;
+# keeping the first 9000 bytes drops the tail (and the FIN segment),
+# so `check --salvage` recovers a prefix and says so in the report
+# header.
+"$WMRACE" gen-trace synth_seg_damaged.trace --procs 3 \
     --events 300 --seed 8 --truncate 9000 >/dev/null
 check_to synth_seg_damaged.expected.txt synth_seg_damaged.trace \
     --salvage
+
+# --- frozen legacy WMRTRC01 inputs: reports only ------------------
+# (queue_wo_s5 carries member ops and sync pairing; synth_hot larger
+# bitsets).  Their reports match those of their WMRSEG01 twins.
+check_to legacy_queue_wo_s5.expected.txt legacy_queue_wo_s5.trace
+check_to legacy_synth_hot.expected.txt legacy_synth_hot.trace
 
 # --- detector-family reports: `check --engine all` on every -------
 # fixture (per-engine verdict blocks + containment summary), blessed

@@ -138,7 +138,7 @@ TEST(AnalysisParallel, SerializationRoundTripTrace)
     eopts.seed = 17;
     const auto res = runProgram(prog, eopts);
     const auto bytes =
-        serializeTrace(buildTrace(res, {.keepMemberOps = true}));
+        serializeSegmentedTrace(buildTrace(res, {.keepMemberOps = true}));
     const auto parsed = tryDeserializeTrace(bytes);
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     expectIdenticalAcrossThreads(parsed.trace, "round-trip");
@@ -408,7 +408,8 @@ writeSyntheticCorpus(const fs::path &dir, std::size_t count)
         opts.procs = 3;
         opts.eventsPerProc = 80;
         opts.seed = 100 + i;
-        const auto bytes = serializeTrace(makeSyntheticTrace(opts));
+        const auto bytes =
+            serializeSegmentedTrace(makeSyntheticTrace(opts));
         std::ofstream out(dir / ("t" + std::to_string(i) + ".trace"),
                           std::ios::binary | std::ios::trunc);
         out.write(reinterpret_cast<const char *>(bytes.data()),

@@ -3,8 +3,9 @@
  * Tests of the batch analysis pipeline (src/pipeline) and the
  * recoverable trace_io error path it depends on:
  *
- *  - CorruptTrace.*:        truncated/bit-flipped trace bytes come
- *                           back as errors, never aborts or OOB reads;
+ *  - CorruptTrace.*:        truncated/bit-flipped legacy WMRTRC01
+ *                           bytes come back as errors, never aborts
+ *                           or OOB reads;
  *  - CorpusScanner.*:       directory and manifest discovery;
  *  - BatchPipeline.*:       graceful degradation, fail-fast, metrics;
  *  - BatchDeterminism.*:    text and JSON reports are byte-identical
@@ -69,7 +70,19 @@ makeTraceBytes(std::uint64_t seed, bool racy = true)
     opts.model = ModelKind::WO;
     opts.seed = seed;
     const auto res = runProgram(prog, opts);
-    return serializeTrace(buildTrace(res, {.keepMemberOps = true}));
+    return serializeSegmentedTrace(buildTrace(res));
+}
+
+/** The bytes of a frozen legacy WMRTRC01 golden fixture. */
+std::vector<std::uint8_t>
+legacyTraceBytes(const char *name)
+{
+    std::ifstream in(std::string(WMR_GOLDEN_DIR) + "/" + name,
+                     std::ios::binary);
+    EXPECT_TRUE(in.good()) << name;
+    return std::vector<std::uint8_t>(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
 }
 
 void
@@ -111,23 +124,28 @@ writeMixedCorpus(const fs::path &dir, std::size_t good)
 }
 
 // ---------------------------------------------------------------
-// CorruptTrace: the recoverable trace_io parse path.
+// CorruptTrace: the legacy WMRTRC01 decoder behind the loader.  It
+// has no checksum, so it must bound-check every field itself.
 // ---------------------------------------------------------------
 
 TEST(CorruptTrace, RoundTripStillWorks)
 {
-    const auto bytes = makeTraceBytes(7);
-    const auto res = tryDeserializeTrace(bytes);
+    // A frozen legacy fixture decodes to the same events as its
+    // WMRSEG01 twin in the golden corpus.
+    const auto res =
+        tryDeserializeTrace(legacyTraceBytes("legacy_queue_wo_s5.trace"));
     ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_FALSE(res.segmented);
     EXPECT_GT(res.trace.events().size(), 0u);
-    // The fatal() wrapper path parses the same bytes.
-    const auto trace = deserializeTrace(bytes);
-    EXPECT_EQ(trace.events().size(), res.trace.events().size());
+    const auto twin = tryReadTraceFile(std::string(WMR_GOLDEN_DIR) +
+                                       "/queue_wo_s5.trace");
+    ASSERT_TRUE(twin.ok()) << twin.error;
+    EXPECT_EQ(twin.trace.events().size(), res.trace.events().size());
 }
 
 TEST(CorruptTrace, EveryStrictTruncationIsAnError)
 {
-    const auto bytes = makeTraceBytes(11);
+    const auto bytes = legacyTraceBytes("legacy_queue_wo_s5.trace");
     ASSERT_GT(bytes.size(), 32u);
     const std::size_t step =
         std::max<std::size_t>(1, bytes.size() / 64);
@@ -143,7 +161,7 @@ TEST(CorruptTrace, EveryStrictTruncationIsAnError)
 
 TEST(CorruptTrace, BitFlipsNeverAbort)
 {
-    const auto bytes = makeTraceBytes(13);
+    const auto bytes = legacyTraceBytes("legacy_synth_hot.trace");
     for (std::size_t pos = 0; pos < bytes.size();
          pos += std::max<std::size_t>(1, bytes.size() / 97)) {
         auto flipped = bytes;
@@ -158,7 +176,7 @@ TEST(CorruptTrace, BitFlipsNeverAbort)
 
 TEST(CorruptTrace, BadMagicAndTrailingBytes)
 {
-    auto bytes = makeTraceBytes(17);
+    auto bytes = legacyTraceBytes("legacy_queue_wo_s5.trace");
     auto badMagic = bytes;
     badMagic[0] ^= 0xff;
     const auto r1 = tryDeserializeTrace(badMagic);
@@ -194,130 +212,6 @@ TEST(CorruptTrace, MissingFileIsIoError)
         tryReadTraceFile("/nonexistent/dir/nothing.trace");
     ASSERT_FALSE(res.ok());
     EXPECT_EQ(res.status, TraceIoStatus::IoError);
-}
-
-// ---------------------------------------------------------------
-// CorruptFullOps: the FULL-OP format through the same recoverable
-// read path (truncation, bit flips, magic confusion, bad counts).
-// ---------------------------------------------------------------
-
-/** Produce ops + their full-op serialization from a seeded run. */
-std::vector<MemOp>
-makeFullOps(std::uint64_t seed)
-{
-    const Program prog = randomRacyProgram(seed);
-    ExecOptions opts;
-    opts.model = ModelKind::WO;
-    opts.seed = seed;
-    return runProgram(prog, opts).ops;
-}
-
-TEST(CorruptFullOps, RoundTripPreservesEveryField)
-{
-    const auto ops = makeFullOps(7);
-    ASSERT_GT(ops.size(), 0u);
-    const auto res = tryDeserializeFullOps(serializeFullOps(ops));
-    ASSERT_TRUE(res.ok()) << res.error;
-    ASSERT_EQ(res.ops.size(), ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        EXPECT_EQ(res.ops[i].id, ops[i].id);
-        EXPECT_EQ(res.ops[i].proc, ops[i].proc);
-        EXPECT_EQ(res.ops[i].poIndex, ops[i].poIndex);
-        EXPECT_EQ(res.ops[i].kind, ops[i].kind);
-        EXPECT_EQ(res.ops[i].sync, ops[i].sync);
-        EXPECT_EQ(res.ops[i].acquire, ops[i].acquire);
-        EXPECT_EQ(res.ops[i].release, ops[i].release);
-        EXPECT_EQ(res.ops[i].addr, ops[i].addr);
-        EXPECT_EQ(res.ops[i].value, ops[i].value);
-        EXPECT_EQ(res.ops[i].observedWrite, ops[i].observedWrite);
-        EXPECT_EQ(res.ops[i].tick, ops[i].tick);
-    }
-}
-
-TEST(CorruptFullOps, EveryStrictTruncationIsAnError)
-{
-    const auto bytes = serializeFullOps(makeFullOps(11));
-    ASSERT_GT(bytes.size(), 32u);
-    const std::size_t step =
-        std::max<std::size_t>(1, bytes.size() / 64);
-    for (std::size_t cut = 0; cut < bytes.size(); cut += step) {
-        const std::vector<std::uint8_t> prefix(bytes.begin(),
-                                               bytes.begin() + cut);
-        const auto res = tryDeserializeFullOps(prefix);
-        EXPECT_FALSE(res.ok()) << "cut at " << cut << " parsed OK";
-        EXPECT_EQ(res.status, TraceIoStatus::FormatError);
-        EXPECT_FALSE(res.error.empty());
-    }
-}
-
-TEST(CorruptFullOps, BitFlipsNeverAbort)
-{
-    const auto bytes = serializeFullOps(makeFullOps(13));
-    for (std::size_t pos = 0; pos < bytes.size();
-         pos += std::max<std::size_t>(1, bytes.size() / 97)) {
-        auto flipped = bytes;
-        flipped[pos] ^= static_cast<std::uint8_t>(1u << (pos % 8));
-        // Must return — ok or error — never exit/abort/overrun.
-        const auto res = tryDeserializeFullOps(flipped);
-        if (!res.ok()) {
-            EXPECT_FALSE(res.error.empty());
-        }
-    }
-}
-
-TEST(CorruptFullOps, FormatsRejectEachOther)
-{
-    // Distinct magics: the event reader must refuse a full-op file
-    // and vice versa, each with a telling error.
-    const auto fullBytes = serializeFullOps(makeFullOps(17));
-    const auto evRes = tryDeserializeTrace(fullBytes);
-    ASSERT_FALSE(evRes.ok());
-    EXPECT_NE(evRes.error.find("full-op file"), std::string::npos);
-
-    const auto evBytes = makeTraceBytes(17);
-    const auto fullRes = tryDeserializeFullOps(evBytes);
-    ASSERT_FALSE(fullRes.ok());
-    EXPECT_NE(fullRes.error.find("event-format"), std::string::npos);
-}
-
-TEST(CorruptFullOps, OversizedCountAndBadFieldsAreErrorsNotOom)
-{
-    // Header claiming ~2^60 ops must be an error, not an allocation.
-    std::vector<std::uint8_t> bytes = {'W', 'M', 'R', 'F',
-                                       'O', 'P', '0', '1'};
-    for (int i = 0; i < 8; ++i)
-        bytes.push_back(0x80 | 0x7f);
-    bytes.push_back(0x0f);
-    const auto big = tryDeserializeFullOps(bytes);
-    ASSERT_FALSE(big.ok());
-    EXPECT_FALSE(big.error.empty());
-
-    // One op whose processor id exceeds ProcId range: the narrowing
-    // cast must be rejected, not silently truncated.
-    std::vector<std::uint8_t> badProc = {'W', 'M', 'R', 'F',
-                                         'O', 'P', '0', '1'};
-    badProc.push_back(1); // count = 1
-    badProc.push_back(0); // id = 0
-    for (int i = 0; i < 4; ++i)
-        badProc.push_back(0x80 | 0x7f); // proc = huge varint...
-    badProc.push_back(0x0f);            // ...terminated
-    const auto bp = tryDeserializeFullOps(badProc);
-    ASSERT_FALSE(bp.ok());
-    EXPECT_NE(bp.error.find("processor"), std::string::npos);
-}
-
-TEST(CorruptFullOps, TrailingBytesAndMissingFile)
-{
-    auto bytes = serializeFullOps(makeFullOps(19));
-    bytes.push_back(0);
-    const auto r1 = tryDeserializeFullOps(bytes);
-    ASSERT_FALSE(r1.ok());
-    EXPECT_NE(r1.error.find("trailing"), std::string::npos);
-
-    const auto r2 =
-        tryReadFullOpsFile("/nonexistent/dir/nothing.fullops");
-    ASSERT_FALSE(r2.ok());
-    EXPECT_EQ(r2.status, TraceIoStatus::IoError);
 }
 
 // ---------------------------------------------------------------
@@ -781,8 +675,10 @@ TEST(CheckpointJournal, TornJournalLineIsIgnoredAndHealed)
 TEST(AnalysisReentrancy, ConcurrentAnalyzeTraceAgreesWithSerial)
 {
     const auto bytes = makeTraceBytes(99);
+    auto loaded = tryDeserializeTrace(bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
     const auto serial = formatReport(
-        analyzeTrace(deserializeTrace(bytes)), nullptr);
+        analyzeTrace(std::move(loaded.trace)), nullptr);
 
     constexpr unsigned kThreads = 8;
     std::vector<std::string> reports(kThreads);

@@ -11,7 +11,7 @@
 #include "detect/report.hh"
 #include "prog/builder.hh"
 #include "sim/executor.hh"
-#include "trace/trace_io.hh"
+#include "trace/segmented_io.hh"
 #include "workload/patterns.hh"
 #include "workload/random_gen.hh"
 #include "workload/scenarios.hh"
@@ -330,9 +330,11 @@ TEST(Analysis, TraceFileRoundTripGivesSameVerdict)
     const auto direct = analyzeExecution(res);
 
     const std::string path = "/tmp/wmr_detect_roundtrip.bin";
-    writeTraceFile(buildTrace(res, {.keepMemberOps = true}), path);
-    const auto loaded = analyzeTrace(readTraceFile(path));
+    writeSegmentedTraceFile(buildTrace(res), path);
+    auto file = tryReadTraceFile(path);
     std::remove(path.c_str());
+    ASSERT_TRUE(file.ok()) << file.error;
+    const auto loaded = analyzeTrace(std::move(file.trace));
 
     EXPECT_EQ(direct.races().size(), loaded.races().size());
     EXPECT_EQ(direct.partitions().firstPartitions.size(),

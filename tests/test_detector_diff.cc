@@ -174,18 +174,10 @@ goldenTraces()
         EXPECT_FALSE(bytes.empty()) << name;
         const bool damaged =
             name.find("damaged") != std::string::npos;
-        if (looksSegmented(bytes.data(), bytes.size())) {
-            auto res = damaged ? trySalvageTrace(bytes)
-                               : tryReadSegmentedTrace(bytes);
-            EXPECT_TRUE(res.ok()) << name << ": " << res.error;
-            if (res.ok())
-                out.emplace_back(name, std::move(res.trace));
-        } else {
-            auto res = tryDeserializeTrace(bytes);
-            EXPECT_TRUE(res.ok()) << name << ": " << res.error;
-            if (res.ok())
-                out.emplace_back(name, std::move(res.trace));
-        }
+        auto res = tryDeserializeTrace(bytes, /*salvage=*/damaged);
+        EXPECT_TRUE(res.ok()) << name << ": " << res.error;
+        if (res.ok())
+            out.emplace_back(name, std::move(res.trace));
     }
     std::sort(out.begin(), out.end(),
               [](const auto &x, const auto &y) {

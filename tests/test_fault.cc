@@ -20,8 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "detect/report.hh"
 #include "fault/fault.hh"
 #include "obs/obs.hh"
+#include "stream/stream_analyzer.hh"
 #include "trace/segmented_io.hh"
 #include "trace/trace_io.hh"
 #include "workload/scenarios.hh"
@@ -257,18 +259,27 @@ TEST_F(FaultTest, InjectedBitflipFailsStrictReadButSalvages)
     // Clean baseline.
     EXPECT_TRUE(tryReadSegmentedTraceFile(file.path).ok());
 
-    // A flipped bit (byte 40: inside the first data frame; byte 0
-    // would destroy the magic, which not even salvage accepts)
-    // breaks a frame CRC: the strict reader refuses with a typed
-    // error pointing at salvage...
-    ASSERT_TRUE(fault::configure("trace.read.bitflip@n1:40", 0));
+    // A flipped bit inside the second frame (byte 0 would destroy
+    // the magic, which not even salvage accepts; the first frame
+    // would leave salvage nothing to recover) breaks a frame CRC:
+    // the strict reader refuses with a typed error pointing at
+    // salvage...
+    const std::vector<std::uint8_t> bytes = segmentedBytes();
+    // Past the magic and the first frame (u32le len, payload, crc).
+    const std::size_t len1 = bytes[8] | bytes[9] << 8 |
+                             bytes[10] << 16 |
+                             static_cast<std::size_t>(bytes[11]) << 24;
+    const std::size_t frame2 = 8 + 4 + len1 + 4;
+    const std::string flip =
+        "trace.read.bitflip@n1:" + std::to_string(frame2 + 6);
+    ASSERT_TRUE(fault::configure(flip, 0));
     const auto strict = tryReadSegmentedTraceFile(file.path);
     EXPECT_FALSE(strict.ok());
     EXPECT_FALSE(strict.error.empty());
 
     // ...and the salvage reader recovers the undamaged prefix.
-    ASSERT_TRUE(fault::configure("trace.read.bitflip@n1:40", 0));
-    const auto salvage = trySalvageTraceFile(file.path);
+    ASSERT_TRUE(fault::configure(flip, 0));
+    const auto salvage = tryReadTraceFile(file.path, /*salvage=*/true);
     EXPECT_TRUE(salvage.ok());
     EXPECT_TRUE(salvage.salvage.salvaged);
 }
@@ -281,7 +292,7 @@ TEST_F(FaultTest, InjectedShortReadDropsTheTailIntoSalvage)
     EXPECT_FALSE(strict.ok()); // FIN frame is torn
 
     ASSERT_TRUE(fault::configure("trace.read.short@n1", 0));
-    const auto salvage = trySalvageTraceFile(file.path);
+    const auto salvage = tryReadTraceFile(file.path, /*salvage=*/true);
     EXPECT_TRUE(salvage.ok());
     EXPECT_TRUE(salvage.salvage.salvaged);
 }
@@ -336,6 +347,26 @@ TEST_F(FaultTest, TailReaderStallFaultHoldsAtWaiting)
         st = r.poll(segs);
     EXPECT_EQ(st, TailPollStatus::Fin);
     EXPECT_TRUE(r.finalize(true)) << r.error();
+}
+
+TEST_F(FaultTest, TailStallOnCompleteFileIsInvisible)
+{
+    // A stalled poll means "no new bytes yet", never "the stream
+    // ended": analyzing a complete file through a stall must give
+    // the unfaulted report, wherever the stall lands.
+    TempFile file(segmentedBytes());
+    const StreamResult clean = streamAnalyzeFile(file.path, {});
+    ASSERT_TRUE(clean.ok) << clean.error;
+    for (const char *spec :
+         {"stream.tail.stall@n1", "stream.tail.stall@n2"}) {
+        ASSERT_TRUE(fault::configure(spec, 0));
+        const StreamResult sr = streamAnalyzeFile(file.path, {});
+        EXPECT_GT(fault::fired("stream.tail.stall"), 0u) << spec;
+        ASSERT_TRUE(sr.ok) << spec << ": " << sr.error;
+        EXPECT_EQ(renderReport(sr.report, nullptr, {}),
+                  renderReport(clean.report, nullptr, {}))
+            << spec;
+    }
 }
 
 TEST_F(FaultTest, TailReaderDamageFaultIsTypedDamaged)

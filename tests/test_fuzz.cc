@@ -1,9 +1,10 @@
 /**
  * @file
- * Robustness fuzzing: corrupted trace files must be rejected with a
- * clean fatal() diagnostic (exit 1) or decode to a valid trace —
- * never crash, hang, or allocate unboundedly.  Runs each mutated
- * buffer in a gtest death-test subprocess.
+ * Robustness fuzzing: corrupted trace files and serve frames must
+ * come back typed — a parse error or a valid decode — never crash,
+ * hang, or allocate unboundedly.  Every parser returns its outcome
+ * (none of them fatal()s), so mutations run in-process: a crash
+ * fails the whole binary, a hang trips the CTest timeout.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include <string>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/rng.hh"
@@ -26,26 +26,39 @@
 namespace wmr {
 namespace {
 
+/** The legacy WMRTRC01 decoder's seed: a frozen golden fixture
+ *  (no writer emits the container any more). */
 std::vector<std::uint8_t>
 baseline()
 {
-    const auto s = stageFigure2bExecution({.regionSize = 6,
-                                           .staleOffset = 2});
-    return serializeTrace(buildTrace(s.result,
-                                     {.keepMemberOps = true}));
+    std::ifstream in(std::string(WMR_GOLDEN_DIR) +
+                         "/legacy_queue_wo_s5.trace",
+                     std::ios::binary);
+    EXPECT_TRUE(in.good());
+    return std::vector<std::uint8_t>(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
 }
 
-/** Exit status predicate: clean exit 0 (valid) or fatal exit 1. */
-bool
-cleanOrFatal(int status)
+/** A decode must come back typed: ok with a usable trace, or a
+ *  FormatError with a reason. */
+void
+expectTyped(const std::vector<std::uint8_t> &bytes,
+            const std::string &what)
 {
-    return WIFEXITED(status) && (WEXITSTATUS(status) == 0 ||
-                                 WEXITSTATUS(status) == 1);
+    const auto res = tryDeserializeTrace(bytes);
+    if (res.ok()) {
+        (void)res.trace.events().size();
+    } else {
+        EXPECT_EQ(res.status, TraceIoStatus::FormatError) << what;
+        EXPECT_FALSE(res.error.empty()) << what;
+    }
 }
 
 TEST(TraceFuzz, SingleByteMutationsNeverCrash)
 {
     const auto bytes = baseline();
+    ASSERT_GT(bytes.size(), 8u);
     Rng rng(99);
     for (int trial = 0; trial < 25; ++trial) {
         auto mutated = bytes;
@@ -53,33 +66,20 @@ TEST(TraceFuzz, SingleByteMutationsNeverCrash)
             8 + rng.below(mutated.size() - 8); // keep the magic
         mutated[pos] ^= static_cast<std::uint8_t>(
             1u << rng.below(8));
-        EXPECT_EXIT(
-            {
-                const auto trace = deserializeTrace(mutated);
-                // If it decoded, it must be self-consistent enough
-                // to answer basic queries.
-                (void)trace.events().size();
-                std::exit(0);
-            },
-            cleanOrFatal, "")
-            << "trial " << trial << " pos " << pos;
+        expectTyped(mutated, "trial " + std::to_string(trial) +
+                                 " pos " + std::to_string(pos));
     }
 }
 
 TEST(TraceFuzz, TruncationsNeverCrash)
 {
     const auto bytes = baseline();
+    ASSERT_GT(bytes.size(), 8u);
     Rng rng(7);
     for (int trial = 0; trial < 15; ++trial) {
         auto mutated = bytes;
         mutated.resize(8 + rng.below(mutated.size() - 8));
-        EXPECT_EXIT(
-            {
-                (void)deserializeTrace(mutated);
-                std::exit(0);
-            },
-            cleanOrFatal, "")
-            << "trial " << trial;
+        expectTyped(mutated, "trial " + std::to_string(trial));
     }
 }
 
@@ -95,13 +95,7 @@ TEST(TraceFuzz, RandomGarbageNeverCrashes)
         std::copy(std::begin(magic), std::end(magic), junk.begin());
         for (std::size_t i = 8; i < junk.size(); ++i)
             junk[i] = static_cast<std::uint8_t>(rng.below(256));
-        EXPECT_EXIT(
-            {
-                (void)deserializeTrace(junk);
-                std::exit(0);
-            },
-            cleanOrFatal, "")
-            << "trial " << trial;
+        expectTyped(junk, "trial " + std::to_string(trial));
     }
 }
 

@@ -14,7 +14,7 @@
 #include "detect/report.hh"
 #include "onthefly/vc_detector.hh"
 #include "prog/assembler.hh"
-#include "trace/trace_io.hh"
+#include "trace/segmented_io.hh"
 #include "workload/random_gen.hh"
 #include "workload/scenarios.hh"
 
@@ -48,9 +48,11 @@ TEST(EndToEnd, AssembleSimulateTraceDetect)
     ASSERT_TRUE(res.completed);
 
     const std::string path = "/tmp/wmr_e2e_trace.bin";
-    writeTraceFile(buildTrace(res), path);
-    const auto det = analyzeTrace(readTraceFile(path));
+    writeSegmentedTraceFile(buildTrace(res), path);
+    auto file = tryReadTraceFile(path);
     std::remove(path.c_str());
+    ASSERT_TRUE(file.ok()) << file.error;
+    const auto det = analyzeTrace(std::move(file.trace));
 
     EXPECT_FALSE(det.anyDataRace());
     const auto report = formatReport(det, &p);
@@ -63,12 +65,13 @@ TEST(EndToEnd, PostMortemPhasesSeparated)
     // Phase 1: instrumented execution writes trace files.
     const auto s = stageFigure2bExecution();
     const std::string path = "/tmp/wmr_e2e_queue.bin";
-    writeTraceFile(buildTrace(s.result, {.keepMemberOps = true}),
-                   path);
+    writeSegmentedTraceFile(buildTrace(s.result), path);
 
     // Phase 2 (post-mortem): a fresh analysis from the file alone.
-    const auto det = analyzeTrace(readTraceFile(path));
+    auto file = tryReadTraceFile(path);
     std::remove(path.c_str());
+    ASSERT_TRUE(file.ok()) << file.error;
+    const auto det = analyzeTrace(std::move(file.trace));
 
     EXPECT_TRUE(det.anyDataRace());
     ASSERT_EQ(det.partitions().firstPartitions.size(), 1u);
@@ -165,9 +168,10 @@ TEST(EndToEnd, LargeExecutionPipeline)
     ASSERT_TRUE(res.completed);
     EXPECT_GT(res.ops.size(), 2'000u);
 
-    const auto bytes =
-        serializeTrace(buildTrace(res, {.keepMemberOps = true}));
-    const auto det = analyzeTrace(deserializeTrace(bytes));
+    auto loaded =
+        tryDeserializeTrace(serializeSegmentedTrace(buildTrace(res)));
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    const auto det = analyzeTrace(std::move(loaded.trace));
     // Racy blocks exist (5%), so usually some race appears; the
     // pipeline must at minimum be internally consistent.
     EXPECT_EQ(det.anyDataRace(),

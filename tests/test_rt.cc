@@ -452,19 +452,14 @@ TEST(RtSpill, SpillProducesAStrictReadableSegmentedFile)
     }
     // The file is the segmented container, complete (FIN present),
     // and the seeded race survives the incremental path.
-    std::ifstream in(path, std::ios::binary);
-    std::vector<std::uint8_t> head(8);
-    in.read(reinterpret_cast<char *>(head.data()), 8);
-    ASSERT_TRUE(in.good());
-    EXPECT_TRUE(looksSegmented(head.data(), head.size()));
-    in.close();
+    EXPECT_TRUE(fileLooksSegmented(path));
 
     auto seg = tryReadSegmentedTraceFile(path);
     ASSERT_TRUE(seg.ok()) << seg.error;
     EXPECT_TRUE(seg.salvage.finSeen);
     EXPECT_FALSE(seg.salvage.salvaged);
 
-    // And the classic entry point sniffs it transparently.
+    // And the loader reads it like any other trace.
     auto res = tryReadTraceFile(path);
     ASSERT_TRUE(res.ok()) << res.error;
     const DetectionResult det = analyzeTrace(std::move(res.trace));
@@ -526,7 +521,7 @@ TEST(RtSpill, CrashFlushLeavesASalvageableTrace)
     auto strict = tryReadSegmentedTraceFile(path);
     EXPECT_FALSE(strict.ok()) << "no FIN must fail the strict read";
 
-    auto res = trySalvageTraceFile(path);
+    auto res = tryReadTraceFile(path, /*salvage=*/true);
     ASSERT_TRUE(res.ok()) << res.error;
     EXPECT_TRUE(res.salvage.salvaged);
     EXPECT_FALSE(res.salvage.finSeen);

@@ -4,10 +4,11 @@
  * salvage reader (src/trace/segmented_io):
  *
  *  - SegmentedRoundTrip.*: serialize -> strict read is lossless and
- *    transparent through the classic tryDeserializeTrace() sniffer;
+ *    transparent through the loader, tryDeserializeTrace();
  *  - Salvage.*: EVERY mid-segment truncation and EVERY single-bit
  *    flip comes back as exactly the longest valid whole-segment
- *    prefix — never a crash, never silently wrong data;
+ *    prefix, or as a typed refusal when that prefix holds no event —
+ *    never a crash, never silently wrong data;
  *  - SpillWriter.*: the incremental writer (the recorder's spill
  *    path), including crashSeal() and the deliberately torn frame
  *    of the fault-injection harness.
@@ -127,10 +128,10 @@ TEST(SegmentedRoundTrip, StrictReadIsLossless)
 {
     const ExecutionTrace src = makeTrace(7);
     const auto bytes = serializeSegmentedTrace(src, 4);
-    ASSERT_TRUE(looksSegmented(bytes.data(), bytes.size()));
 
     const auto res = tryReadSegmentedTrace(bytes);
     ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_TRUE(res.segmented);
     EXPECT_TRUE(res.salvage.finSeen);
     EXPECT_FALSE(res.salvage.salvaged);
     EXPECT_EQ(res.salvage.segmentsDropped, 0u);
@@ -194,8 +195,16 @@ TEST(Salvage, EveryTruncationRecoversAWholeSegmentPrefix)
         const auto strict = tryReadSegmentedTrace(prefix);
         EXPECT_FALSE(strict.ok()) << "cut at " << cut;
 
-        // Salvage must recover exactly the whole segments that fit.
+        // Salvage must recover exactly the whole segments that fit,
+        // and refuse a prefix that holds no whole data segment.
         const auto res = trySalvageTrace(prefix);
+        if (eventsBeforeDamage(frames, cut) == 0) {
+            EXPECT_FALSE(res.ok()) << "cut at " << cut;
+            EXPECT_NE(res.error.find("salvage recovered no events"),
+                      std::string::npos)
+                << res.error;
+            continue;
+        }
         ASSERT_TRUE(res.ok()) << "cut " << cut << ": " << res.error;
         EXPECT_TRUE(res.salvage.salvaged) << "cut at " << cut;
         EXPECT_EQ(res.salvage.eventsRecovered,
@@ -230,6 +239,10 @@ TEST(Salvage, EverySingleBitFlipIsCaught)
                 << "strict accepted flip at byte " << byte;
 
             const auto res = trySalvageTrace(corrupt);
+            if (eventsBeforeDamage(frames, byte) == 0) {
+                EXPECT_FALSE(res.ok()) << "flip at byte " << byte;
+                continue;
+            }
             ASSERT_TRUE(res.ok())
                 << "byte " << byte << ": " << res.error;
             EXPECT_TRUE(res.salvage.salvaged)
@@ -271,18 +284,23 @@ TEST(Salvage, MissingFinAloneLosesNoEvents)
     EXPECT_EQ(res.trace.numProcs(), src.numProcs());
 }
 
-TEST(Salvage, GarbageBodyRecoversNothingButDoesNotFail)
+TEST(Salvage, GarbageBodyRecoversNothingAndIsRefused)
 {
+    // Nothing recoverable is a typed refusal, not an empty analysis
+    // that would pass for an execution without races.
     std::vector<std::uint8_t> bytes = {'W', 'M', 'R', 'S',
                                        'E', 'G', '0', '1'};
     for (int i = 0; i < 64; ++i)
         bytes.push_back(static_cast<std::uint8_t>(i * 37));
     const auto res = trySalvageTrace(bytes);
-    ASSERT_TRUE(res.ok()) << res.error;
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status, TraceIoStatus::FormatError);
+    EXPECT_NE(res.error.find("salvage recovered no events"),
+              std::string::npos)
+        << res.error;
     EXPECT_TRUE(res.salvage.salvaged);
     EXPECT_EQ(res.salvage.eventsRecovered, 0u);
     EXPECT_GT(res.salvage.bytesDropped, 0u);
-    EXPECT_TRUE(res.trace.events().empty());
 }
 
 TEST(Salvage, WrongMagicIsAHardError)
@@ -379,7 +397,7 @@ TEST(SpillWriter, CrashSealLeavesASalvageableFile)
         spillTrace(src, w, 4, /*andFinish=*/false);
         ASSERT_TRUE(w.crashSeal()) << w.lastError();
     }
-    const auto res = trySalvageTraceFile(path);
+    const auto res = tryReadTraceFile(path, /*salvage=*/true);
     ASSERT_TRUE(res.ok()) << res.error;
     EXPECT_TRUE(res.salvage.salvaged);
     EXPECT_FALSE(res.salvage.finSeen);
@@ -424,7 +442,7 @@ TEST(SpillWriter, TornFrameIsDroppedExactly)
     const auto strict = tryReadSegmentedTraceFile(path);
     EXPECT_FALSE(strict.ok());
 
-    const auto res = trySalvageTraceFile(path);
+    const auto res = tryReadTraceFile(path, /*salvage=*/true);
     ASSERT_TRUE(res.ok()) << res.error;
     EXPECT_TRUE(res.salvage.salvaged);
     EXPECT_EQ(res.salvage.segmentsDropped, 1u);

@@ -45,6 +45,7 @@
 #include "serve/protocol.hh"
 #include "serve/result_cache.hh"
 #include "serve/server.hh"
+#include "damage_cases.hh"
 #include "trace/segmented_io.hh"
 #include "trace/trace_io.hh"
 #include "workload/synthetic_trace.hh"
@@ -78,7 +79,7 @@ struct TempDir
     }
 };
 
-/** A small deterministic event-format trace, distinct per seed. */
+/** A small deterministic trace upload, distinct per seed. */
 std::vector<std::uint8_t>
 makeTraceBytes(std::uint64_t seed)
 {
@@ -86,29 +87,20 @@ makeTraceBytes(std::uint64_t seed)
     o.procs = 4;
     o.eventsPerProc = 120;
     o.seed = seed;
-    return serializeTrace(makeSyntheticTrace(o));
+    return serializeSegmentedTrace(makeSyntheticTrace(o));
 }
 
-/** What `wmrace check` prints for a clean event-format upload —
- *  the byte-identity reference for served reports. */
+/** What `wmrace check [--salvage]` prints for an upload — the
+ *  byte-identity reference for served reports. */
 std::string
-localCheckReport(const std::vector<std::uint8_t> &bytes)
+localCheckReport(const std::vector<std::uint8_t> &bytes,
+                 bool salvage = false)
 {
-    ExecutionTrace trace = deserializeTrace(bytes);
-    const DetectionResult det = analyzeTrace(std::move(trace));
-    return formatTraceProvenance(false, SalvageInfo{}) +
+    TraceReadResult loaded = tryDeserializeTrace(bytes, salvage);
+    EXPECT_TRUE(loaded.ok()) << loaded.error;
+    const DetectionResult det = analyzeTrace(std::move(loaded.trace));
+    return formatTraceProvenance(loaded.segmented, loaded.salvage) +
            formatReport(det);
-}
-
-/** The `wmrace check --salvage` twin for damaged segmented bytes. */
-std::string
-localSalvageReport(const std::vector<std::uint8_t> &bytes)
-{
-    SegTraceReadResult seg = trySalvageTrace(bytes);
-    EXPECT_TRUE(seg.ok()) << seg.error;
-    const SalvageInfo salvage = seg.salvage;
-    const DetectionResult det = analyzeTrace(std::move(seg.trace));
-    return formatTraceProvenance(true, salvage) + formatReport(det);
 }
 
 /** A worker latch for testAnalysisGate: workers entering the gate
@@ -518,7 +510,8 @@ TEST(ServeServer, SalvageUploadMatchesLocalSalvageCheck)
     std::vector<std::uint8_t> bytes =
         serializeSegmentedTrace(makeSyntheticTrace(o));
     bytes.resize(bytes.size() * 3 / 4); // tear off the tail
-    const std::string expected = localSalvageReport(bytes);
+    const std::string expected =
+        localCheckReport(bytes, /*salvage=*/true);
 
     RunningServer rs;
 
@@ -544,6 +537,27 @@ TEST(ServeServer, SalvageUploadMatchesLocalSalvageCheck)
     ASSERT_TRUE(again.ok && again.response.ok()) << again.error;
     EXPECT_TRUE(again.response.cacheHit());
     EXPECT_EQ(again.response.report, expected);
+
+    // The damage cases every path must judge alike: the served
+    // report equals the local salvage check, and a file salvage
+    // cannot recover is refused with the local error.
+    for (const auto &dc : testing_damage::damageCases()) {
+        SubmitResult got = submitTraceBytes(rs.addr, dc.bytes, opts);
+        ASSERT_TRUE(got.ok) << dc.name << ": " << got.error;
+        const TraceReadResult local =
+            tryDeserializeTrace(dc.bytes, /*salvage=*/true);
+        if (local.ok()) {
+            ASSERT_EQ(got.response.status, RespStatus::Ok)
+                << dc.name << ": " << got.response.meta.error;
+            EXPECT_EQ(got.response.report,
+                      localCheckReport(dc.bytes, /*salvage=*/true))
+                << dc.name;
+        } else {
+            EXPECT_EQ(got.response.status, RespStatus::BadRequest)
+                << dc.name;
+            EXPECT_EQ(got.response.meta.error, local.error) << dc.name;
+        }
+    }
 }
 
 TEST(ServeServer, FloodedQueueAnswersOverloadedWithRetryHint)

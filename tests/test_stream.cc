@@ -17,7 +17,8 @@
  *  - Generator.*: writeSyntheticSegmentedTraceFile() is
  *    byte-identical to serializing makeSyntheticTrace();
  *  - TailReader.*: a half-written frame on a live file is "wait",
- *    not "torn" — and the same bytes as a dead snapshot salvage.
+ *    not "torn" — and the same bytes as a dead snapshot salvage; a
+ *    finished file comes back in bounded polls.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "damage_cases.hh"
 #include "detect/analysis.hh"
 #include "detect/report.hh"
 #include "stream/stream_analyzer.hh"
@@ -141,13 +143,13 @@ TEST(StreamGolden, MatchesWholeTraceAcrossCorpus)
         auto bytes = readFileBytes(entry.path().string());
         ASSERT_FALSE(bytes.empty()) << name;
         const bool damaged = name.find("damaged") != std::string::npos;
-        if (!looksSegmented(bytes.data(), bytes.size())) {
-            // EVENT-container traces cannot stream directly; the
+        auto loaded = tryDeserializeTrace(bytes, /*salvage=*/damaged);
+        ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.error;
+        if (!loaded.segmented) {
+            // Legacy WMRTRC01 fixtures cannot stream directly; the
             // differential runs on their segmented serialization
             // (small segments, so even tiny traces window).
-            auto parsed = tryDeserializeTrace(bytes);
-            ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
-            bytes = serializeSegmentedTrace(parsed.trace, 8);
+            bytes = serializeSegmentedTrace(loaded.trace, 8);
         }
         expectEquivalent(bytes, /*strict=*/!damaged,
                          /*window=*/2, name);
@@ -253,26 +255,53 @@ TEST(StreamDifferential, SalvagedTruncation)
         EXPECT_TRUE(sr.salvage.salvaged);
         std::remove(path.c_str());
     }
+
+    // The damage cases every path must judge alike: the same
+    // salvaged report, or the same refusal when nothing survives.
+    for (const auto &dc : testing_damage::damageCases()) {
+        const std::string path = tempPath("stream_damage");
+        writeFileBytes(path, dc.bytes);
+        const auto whole = trySalvageTrace(dc.bytes);
+        if (whole.ok()) {
+            StreamResult sr;
+            EXPECT_EQ(streamedText(path, /*strict=*/false, 4, &sr),
+                      wholeTraceText(dc.bytes, /*strict=*/false))
+                << dc.name;
+            EXPECT_TRUE(sr.salvage.salvaged) << dc.name;
+        } else {
+            StreamOptions opts;
+            opts.strict = false;
+            const StreamResult sr = streamAnalyzeFile(path, opts);
+            EXPECT_FALSE(sr.ok) << dc.name;
+            EXPECT_EQ(sr.error, whole.error) << dc.name;
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(StreamDifferential, StrictErrorsMatchWholeTraceReader)
 {
     const auto bytes =
         serializeSegmentedTrace(makeSyntheticTrace(sparseOptions()));
+    std::vector<testing_damage::DamageCase> inputs =
+        testing_damage::damageCases();
     for (const double frac : {0.35, 0.97}) {
         const auto keep =
             static_cast<std::size_t>(bytes.size() * frac);
-        std::vector<std::uint8_t> cut(bytes.begin(),
-                                      bytes.begin() + keep);
-        const auto whole = tryReadSegmentedTrace(cut);
-        ASSERT_FALSE(whole.ok());
+        inputs.push_back({"keep=" + std::to_string(keep),
+                          std::vector<std::uint8_t>(
+                              bytes.begin(), bytes.begin() + keep)});
+    }
+    for (const auto &in : inputs) {
+        const auto whole = tryReadSegmentedTrace(in.bytes);
+        ASSERT_FALSE(whole.ok()) << in.name;
 
         const std::string path = tempPath("stream_strict");
-        writeFileBytes(path, cut);
+        writeFileBytes(path, in.bytes);
         StreamOptions opts; // strict by default
         const StreamResult sr = streamAnalyzeFile(path, opts);
-        EXPECT_FALSE(sr.ok);
-        EXPECT_EQ(sr.error, whole.error) << "keep=" << keep;
+        EXPECT_FALSE(sr.ok) << in.name;
+        EXPECT_EQ(sr.error, whole.error) << in.name;
         std::remove(path.c_str());
     }
 }
@@ -543,6 +572,63 @@ TEST(TailReader, MidFrameIsWaitingNotTorn)
     ASSERT_TRUE(tail.finalize(/*strict=*/true)) << tail.error();
     EXPECT_FALSE(tail.salvage().salvaged);
     EXPECT_EQ(tail.salvage().bytesDropped, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(TailReader, FinishedFileComesBackInBoundedPolls)
+{
+    // A complete multi-MB file must not come back in one poll: each
+    // poll holds at most one chunk plus one frame, so a finished
+    // file streams in bounded memory like a live one.
+    SyntheticTraceOptions o;
+    o.procs = 2;
+    o.eventsPerProc = 80000;
+    o.memWords = 65536;
+    o.syncWords = 16;
+    o.syncFraction = 0.6;
+    o.hotFraction = 0.0;
+    o.seed = 5;
+    const std::string path = tempPath("tail_bounded");
+    const std::size_t size = writeSyntheticSegmentedTraceFile(o, path);
+    constexpr std::size_t kChunk = SegmentTailReader::kChunkBytes;
+    ASSERT_GT(size, 3 * kChunk);
+
+    std::size_t maxFrame = 0;
+    {
+        const auto bytes = readFileBytes(path);
+        for (std::size_t pos = 8; pos + 4 <= bytes.size();) {
+            const std::size_t len =
+                bytes[pos] | bytes[pos + 1] << 8 |
+                bytes[pos + 2] << 16 |
+                static_cast<std::size_t>(bytes[pos + 3]) << 24;
+            maxFrame = std::max(maxFrame, 8 + len);
+            pos += 8 + len;
+        }
+    }
+
+    SegmentTailReader tail;
+    ASSERT_TRUE(tail.open(path));
+    std::vector<SegTailSegment> segs;
+    std::size_t polls = 0;
+    std::uint64_t events = 0;
+    std::uint64_t before = 0;
+    TailPollStatus st;
+    while ((st = tail.poll(segs)) == TailPollStatus::Progress) {
+        ++polls;
+        EXPECT_LE(tail.offset() - before, kChunk + maxFrame)
+            << "poll " << polls;
+        EXPECT_LT(tail.bytesSeen() - tail.offset(), maxFrame)
+            << "poll " << polls;
+        before = tail.offset();
+        for (const SegTailSegment &seg : segs)
+            events += seg.events.size();
+        segs.clear();
+    }
+    EXPECT_EQ(st, TailPollStatus::Fin);
+    EXPECT_GE(polls, size / (kChunk + maxFrame));
+    EXPECT_EQ(events, 160000u);
+    ASSERT_TRUE(tail.finalize(/*strict=*/true)) << tail.error();
+    EXPECT_EQ(tail.offset(), size);
     std::remove(path.c_str());
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests of the trace layer: event construction (Section 4.1),
- * READ/WRITE sets, so1 pairing, and trace file round trips.
+ * READ/WRITE sets, so1 pairing, and trace file round trips through
+ * the loader.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include "prog/builder.hh"
 #include "sim/executor.hh"
 #include "trace/execution_trace.hh"
+#include "trace/segmented_io.hh"
 #include "trace/trace_io.hh"
+#include "trace/wire_codec.hh"
 #include "workload/patterns.hh"
 
 namespace wmr {
@@ -197,10 +200,14 @@ TEST(EventConflicts, SyncVsComputation)
 
 TEST(TraceIo, SerializeRoundTrip)
 {
+    // WMRSEG01 carries everything the analysis reads; member ops are
+    // the one field it drops (no trace consumer reads them).
     const auto res = runFig1b();
-    const auto trace = buildTrace(res, {.keepMemberOps = true});
-    const auto bytes = serializeTrace(trace);
-    const auto back = deserializeTrace(bytes);
+    const auto trace = buildTrace(res);
+    const auto loaded = tryDeserializeTrace(serializeSegmentedTrace(trace));
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    EXPECT_TRUE(loaded.segmented);
+    const ExecutionTrace &back = loaded.trace;
 
     ASSERT_EQ(back.events().size(), trace.events().size());
     EXPECT_EQ(back.numProcs(), trace.numProcs());
@@ -218,7 +225,7 @@ TEST(TraceIo, SerializeRoundTrip)
         EXPECT_EQ(a.pairedRelease, b.pairedRelease);
         EXPECT_TRUE(a.readSet == b.readSet);
         EXPECT_TRUE(a.writeSet == b.writeSet);
-        EXPECT_EQ(a.memberOps, b.memberOps);
+        EXPECT_TRUE(b.memberOps.empty());
         if (a.kind == EventKind::Sync) {
             EXPECT_EQ(a.syncOp.addr, b.syncOp.addr);
             EXPECT_EQ(a.syncOp.value, b.syncOp.value);
@@ -235,10 +242,12 @@ TEST(TraceIo, FileRoundTrip)
     const auto res = runFig1b();
     const auto trace = buildTrace(res);
     const std::string path = "/tmp/wmr_test_trace.bin";
-    const std::size_t bytes = writeTraceFile(trace, path);
+    const std::size_t bytes = writeSegmentedTraceFile(trace, path);
     EXPECT_GT(bytes, 0u);
-    const auto back = readTraceFile(path);
-    EXPECT_EQ(back.events().size(), trace.events().size());
+    EXPECT_TRUE(fileLooksSegmented(path));
+    const auto back = tryReadTraceFile(path);
+    ASSERT_TRUE(back.ok()) << back.error;
+    EXPECT_EQ(back.trace.events().size(), trace.events().size());
     std::remove(path.c_str());
 }
 
@@ -246,17 +255,22 @@ TEST(TraceIo, RejectsGarbage)
 {
     std::vector<std::uint8_t> junk{'n', 'o', 't', 'a', 't', 'r',
                                    'c', '!'};
-    EXPECT_EXIT(deserializeTrace(junk), ::testing::ExitedWithCode(1),
-                "unrecognized magic");
+    const auto res = tryDeserializeTrace(junk);
+    EXPECT_EQ(res.status, TraceIoStatus::FormatError);
+    EXPECT_NE(res.error.find("unrecognized magic"), std::string::npos)
+        << res.error;
 }
 
 TEST(TraceIo, RejectsTruncation)
 {
     const auto res = runFig1b();
-    auto bytes = serializeTrace(buildTrace(res));
+    auto bytes = serializeSegmentedTrace(buildTrace(res));
     bytes.resize(bytes.size() / 2);
-    EXPECT_EXIT(deserializeTrace(bytes), ::testing::ExitedWithCode(1),
-                "truncated");
+    const auto loaded = tryDeserializeTrace(bytes);
+    EXPECT_EQ(loaded.status, TraceIoStatus::FormatError);
+    EXPECT_NE(loaded.error.find("recovered with salvage"),
+              std::string::npos)
+        << loaded.error;
 }
 
 // --- Magic sniffing: each container names itself precisely -------
@@ -311,19 +325,6 @@ TEST(TraceIoMagic, UnprintableMagicBytesAreEscaped)
         << res.error;
 }
 
-TEST(TraceIoMagic, FullOpReaderCrossReferencesEventMagic)
-{
-    // The reverse direction: event-format bytes fed to the full-op
-    // reader name the event container rather than "bad magic".
-    const auto res = runFig1b();
-    const auto bytes = serializeTrace(buildTrace(res));
-    const auto parsed = tryDeserializeFullOps(bytes);
-    EXPECT_EQ(parsed.status, TraceIoStatus::FormatError);
-    EXPECT_NE(parsed.error.find("event-format trace"),
-              std::string::npos)
-        << parsed.error;
-}
-
 TEST(TraceIo, FullOpFormatIsLargerThanEventFormat)
 {
     // The point of Section 4.1's bit-vector events: tracing every
@@ -333,9 +334,12 @@ TEST(TraceIo, FullOpFormatIsLargerThanEventFormat)
     opts.seed = 1;
     const auto res = runProgram(figure2Queue({.regionSize = 64}), opts);
     const auto eventBytes =
-        serializeTrace(buildTrace(res)).size();
-    const auto fullBytes = serializeFullOps(res.ops).size();
-    EXPECT_GT(fullBytes, eventBytes);
+        serializeSegmentedTrace(buildTrace(res)).size();
+    // The per-operation encoding: one MemOp record per operation.
+    wire::Encoder fullOps;
+    for (const MemOp &op : res.ops)
+        wire::encodeMemOp(fullOps, op);
+    EXPECT_GT(fullOps.size(), eventBytes);
 }
 
 } // namespace

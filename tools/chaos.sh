@@ -42,6 +42,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 [ -d "$GOLDEN" ] || die "no golden dir: $GOLDEN"
+GOLDEN=$(cd "$GOLDEN" && pwd)
 
 DEMO="$(dirname "$WMRACE")/../examples/rt_demo_racy"
 [ -x "$DEMO" ] || DEMO=""
@@ -74,8 +75,8 @@ SERVE_POOL=(
     "serve.client.truncate|transport"
 )
 # check --stream goes through the tail reader, so only the tail
-# sites are reachable here; trace.read.* lands on the whole-file
-# loaders batch uses.
+# sites are reachable here; trace.read.* lands on the loader's
+# whole-file read, which check, batch and record share.
 STREAM_POOL=(
     "stream.tail.stall|benign"
     "stream.tail.damage|damage"
@@ -86,7 +87,7 @@ BATCH_POOL=(
     "trace.read.bitflip|damage"
 )
 # The detector family (`check --engine all`) loads through the same
-# whole-file readers batch uses; its blessed reports are the
+# loader batch uses; its blessed reports are the
 # *.engines.expected.txt twins.
 ENGINE_POOL=(
     "trace.read.short|damage"
@@ -179,6 +180,17 @@ typedError() { [ ! -s "$1" ] && grep -q "fatal:\|error:" "$2"; }
 TRACES=("$GOLDEN"/*.trace)
 [ -e "${TRACES[0]}" ] || die "no traces in $GOLDEN"
 
+# The WMRSEG01 fixtures: everything but the frozen legacy_* WMRTRC01
+# files.  Read-damage schedules run on these only — WMRTRC01 has no
+# checksum, so a flipped bit can decode into a different trace, and
+# `check --stream` reads only WMRSEG01.
+SEG_TRACES=()
+for t in "${TRACES[@]}"; do
+    case "$(basename "$t")" in legacy_*) ;; *) SEG_TRACES+=("$t") ;; esac
+done
+[ ${#SEG_TRACES[@]} -gt 0 ] || die "no WMRSEG01 traces in $GOLDEN"
+printf '%s\n' "${SEG_TRACES[@]}" > "$WORK/seg.manifest"
+
 # Pre-flight canary: prove env-driven injection is ALIVE before
 # soaking — a schedule that never fires soaks nothing and proves
 # nothing.  A giant injected short read must make the strict check
@@ -267,12 +279,10 @@ runServe() {
 
 runStream() {
     local run=$1 t base salvage got status
-    # stream mode only speaks the segmented container
-    case "$(rand 2)" in
-        0) t="$GOLDEN/synth_seg.trace"; salvage="" ;;
-        1) t="$GOLDEN/synth_seg_damaged.trace"; salvage="--salvage" ;;
-    esac
+    t=${SEG_TRACES[$(rand ${#SEG_TRACES[@]})]}
     base=$(basename "$t" .trace)
+    salvage=""
+    case "$base" in *damaged*) salvage="--salvage" ;; esac
     got="$WORK/stream.$run.out"
     WMR_FAULT="$SCHED" WMR_FAULT_SEED=$RUNSEED \
         timeout 30 "$WMRACE" check "$t" --stream $salvage \
@@ -299,7 +309,7 @@ runStream() {
 runBatch() {
     local run=$1 status
     WMR_FAULT="$SCHED" WMR_FAULT_SEED=$RUNSEED \
-        timeout 60 "$WMRACE" batch "$GOLDEN" --jobs 2 --salvage \
+        timeout 60 "$WMRACE" batch "$WORK/seg.manifest" --jobs 2 --salvage \
         --checkpoint "$WORK/batch.$run.ck" \
         > "$WORK/batch.$run.out" 2> "$WORK/batch.$run.err"
     status=$?
@@ -333,7 +343,7 @@ runRecord() {
 
 runEngine() {
     local run=$1 t base salvage got status
-    t=${TRACES[$(rand ${#TRACES[@]})]}
+    t=${SEG_TRACES[$(rand ${#SEG_TRACES[@]})]}
     base=$(basename "$t" .trace)
     salvage=""
     case "$base" in *damaged*) salvage="--salvage" ;; esac

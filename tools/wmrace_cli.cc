@@ -8,7 +8,7 @@
  *   wmrace record [opts] <bin> [args]  run an annotated program,
  *                                      record + analyze its trace
  *   wmrace gen-trace <out> [options]   write a deterministic
- *                                      synthetic trace file
+ *                                      synthetic WMRSEG01 trace
  *   wmrace explore <prog.wm> [options] exhaustive SC model checking
  *   wmrace disasm <prog.wm>            print the assembled program
  *   wmrace static <prog.wm>            compile-time lockset analysis
@@ -22,7 +22,7 @@
  *   --seed N                       scheduler/drain seed (default 1)
  *   --laziness X                   drain laziness 0..1  (default 0.5)
  *   --robustness                   SC-equivalence verdict first
- *   --trace FILE                   write the event trace file
+ *   --trace FILE                   write the WMRSEG01 trace file
  *   --dot FILE                     write the G' graph as DOT
  *   --events                       include per-event detail in report
  *   --stats                        print execution statistics
@@ -120,11 +120,16 @@
  *
  * Options of `gen-trace` (see SyntheticTraceOptions): --procs N,
  *   --events N (per processor), --words N, --sync-words N, --seed N,
- *   --sync-fraction X, --hot-fraction X, --segmented (WMRSEG01
- *   container; generated straight through the segment spill writer,
- *   so writer memory stays bounded at any --events), --truncate N
- *   (keep only the first N bytes — a damaged-file fixture for
- *   --salvage testing).
+ *   --sync-fraction X, --hot-fraction X, --truncate N (keep only the
+ *   first N bytes — a damaged-file fixture for --salvage testing).
+ *   The output is always WMRSEG01, generated straight through the
+ *   segment spill writer so writer memory stays bounded at any
+ *   --events; --segmented is still accepted but selects nothing.
+ *
+ * Every command that reads a trace (`check`, `record`, `batch`,
+ * `submit` via the daemon) goes through the one loader
+ * (trace/trace_io.hh): WMRSEG01, the format every writer emits, and
+ * the read-only legacy WMRTRC01 container of older recordings.
  *
  * `check`, `batch` and `record` also take `--trace-out FILE`: write
  * a Chrome trace_event JSON timeline of the run (spans + counters;
@@ -448,9 +453,11 @@ cmdRun(const Args &args)
                 res.completed ? "" : "  [TRUNCATED]");
 
     if (args.has("trace")) {
-        const auto trace = buildTrace(res, {.keepMemberOps = true});
+        const auto trace = buildTrace(res);
         const auto bytes =
-            writeTraceFile(trace, args.get("trace"));
+            writeSegmentedTraceFile(trace, args.get("trace"));
+        if (bytes == 0)
+            fatal("run: cannot write '%s'", args.get("trace").c_str());
         std::printf("wrote %zu events (%zu bytes) to %s\n",
                     trace.events().size(), bytes,
                     args.get("trace").c_str());
@@ -493,70 +500,6 @@ cmdRun(const Args &args)
                     args.get("dot").c_str(), args.get("dot").c_str());
     }
     return det.anyDataRace() ? 1 : 0;
-}
-
-/** @return whether the file at @p path starts with the segmented
- *  trace magic (false on unreadable files too). */
-bool
-fileLooksSegmented(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::uint8_t head[8] = {};
-    if (!in.read(reinterpret_cast<char *>(head), sizeof(head)))
-        return false;
-    return looksSegmented(head, sizeof(head));
-}
-
-/** A trace loaded for analysis plus its provenance. */
-struct LoadedTrace
-{
-    bool ok = false;
-    ExecutionTrace trace;
-    std::string error;
-    bool segmented = false;
-    SalvageInfo salvage;
-};
-
-/**
- * Load @p path whichever container it uses.  @p allowSalvage makes
- * a damaged/incomplete segmented file recover its longest valid
- * prefix instead of failing.
- */
-LoadedTrace
-loadRecordedTrace(const std::string &path, bool allowSalvage)
-{
-    LoadedTrace out;
-    if (fileLooksSegmented(path)) {
-        out.segmented = true;
-        auto res = allowSalvage ? trySalvageTraceFile(path)
-                                : tryReadSegmentedTraceFile(path);
-        out.ok = res.ok();
-        out.trace = std::move(res.trace);
-        out.error = std::move(res.error);
-        out.salvage = std::move(res.salvage);
-        return out;
-    }
-    auto res = tryReadTraceFile(path);
-    out.ok = res.ok();
-    out.trace = std::move(res.trace);
-    out.error = std::move(res.error);
-    return out;
-}
-
-/**
- * The report header lines stating what the analyzed trace actually
- * is: salvage provenance and recorder-side data loss, so a partial
- * or Drop-mode trace can never masquerade as a complete one.  The
- * rendering lives in formatTraceProvenance() (segmented_io.hh),
- * shared with the serve subsystem so a served report stays
- * byte-identical to a local one.
- */
-void
-printTraceProvenance(const LoadedTrace &lt)
-{
-    std::printf("%s",
-                formatTraceProvenance(lt.segmented, lt.salvage)
-                    .c_str());
 }
 
 /**
@@ -627,8 +570,8 @@ cmdCheckStream(const Args &args)
     const std::string &path = args.positional()[0];
     if (!fileLooksSegmented(path))
         fatal("check: --stream requires a segmented trace "
-              "(WMRSEG01); re-record with the segmented writer or "
-              "run without --stream");
+              "(WMRSEG01); run a legacy WMRTRC01 trace without "
+              "--stream");
     StreamOptions sopts;
     sopts.strict = !args.has("salvage");
     if (!parseWindow(args, "check", sopts.windowSegments))
@@ -671,15 +614,16 @@ cmdCheck(const Args &args)
     const TraceOut traceOut(args);
     if (args.has("stream"))
         return cmdCheckStream(args);
-    const LoadedTrace lt = loadRecordedTrace(args.positional()[0],
-                                             args.has("salvage"));
-    if (!lt.ok)
+    const TraceReadResult lt =
+        tryReadTraceFile(args.positional()[0], args.has("salvage"));
+    if (!lt.ok())
         fatal("%s%s", lt.error.c_str(),
               lt.segmented && !args.has("salvage")
                   ? "  (re-run with --salvage to recover the valid "
                     "prefix)"
                   : "");
-    printTraceProvenance(lt);
+    std::printf("%s",
+                formatTraceProvenance(lt.segmented, lt.salvage).c_str());
     AnalysisOptions aopts;
     if (!parseJobs(args, "check", aopts.threads))
         return 2;
@@ -1146,7 +1090,7 @@ cmdRecord(int argc, char **argv)
                     st == TailPollStatus::Damaged)
                     return;
                 if (st == TailPollStatus::Waiting) {
-                    if (!wasAlive)
+                    if (!wasAlive && tail->atEof())
                         return;
                     nap();
                 }
@@ -1222,14 +1166,15 @@ cmdRecord(int argc, char **argv)
     // Strict read after a clean exit; salvage after an abnormal one
     // (the spill file has no FIN segment — that is expected, not an
     // error).
-    const LoadedTrace lt = loadRecordedTrace(out, oc.abnormal());
-    if (!lt.ok) {
+    const TraceReadResult lt = tryReadTraceFile(out, oc.abnormal());
+    if (!lt.ok()) {
         std::fprintf(stderr,
                      "record: no analyzable trace: %s\n",
                      lt.error.c_str());
         return 3;
     }
-    printTraceProvenance(lt);
+    std::printf("%s",
+                formatTraceProvenance(lt.segmented, lt.salvage).c_str());
     const DetectionResult det = analyzeTrace(lt.trace);
     std::printf("%s", formatReport(det, nullptr, {}).c_str());
     return det.anyDataRace() ? 1 : 0;
@@ -1237,11 +1182,10 @@ cmdRecord(int argc, char **argv)
 
 /**
  * `wmrace gen-trace <out> [opts]`: write a deterministic synthetic
- * trace file — the reproducible source of the golden-report corpus
- * (tests/data/golden/regen.sh).  Equal options give byte-identical
- * files.  --segmented emits the WMRSEG01 container; --truncate N
- * keeps only the first N bytes, crafting a damaged file for salvage
- * fixtures.
+ * WMRSEG01 trace file — the reproducible source of the golden-report
+ * corpus (tests/data/golden/regen.sh).  Equal options give
+ * byte-identical files.  --truncate N keeps only the first N bytes,
+ * crafting a damaged file for salvage fixtures.
  */
 int
 cmdGenTrace(const Args &args)
@@ -1272,24 +1216,15 @@ cmdGenTrace(const Args &args)
         fatal("gen-trace: --procs, --events and --words must be "
               "positive");
 
-    // Segmented output streams through the spill writer — writer
-    // memory stays O(segment), so --events can exceed RAM.  The file
-    // is byte-identical to serializing makeSyntheticTrace().  The
-    // EVENT container needs the whole trace up front and keeps the
-    // materializing path.
-    std::size_t bytes = 0;
-    std::size_t numEvents = 0;
-    if (args.has("segmented")) {
-        bytes = writeSyntheticSegmentedTraceFile(opts, path);
-        if (bytes == 0)
-            fatal("gen-trace: cannot write '%s'", path.c_str());
-        numEvents = static_cast<std::size_t>(opts.procs) *
-                    opts.eventsPerProc;
-    } else {
-        const ExecutionTrace trace = makeSyntheticTrace(opts);
-        bytes = writeTraceFile(trace, path);
-        numEvents = trace.events().size();
-    }
+    // Output streams through the segment spill writer, so writer
+    // memory stays O(segment) and --events can exceed RAM.  The file
+    // is byte-identical to serializing makeSyntheticTrace().
+    const std::size_t bytes =
+        writeSyntheticSegmentedTraceFile(opts, path);
+    if (bytes == 0)
+        fatal("gen-trace: cannot write '%s'", path.c_str());
+    const std::size_t numEvents =
+        static_cast<std::size_t>(opts.procs) * opts.eventsPerProc;
 
     std::size_t kept = bytes;
     if (args.has("truncate")) {
