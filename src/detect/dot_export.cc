@@ -37,22 +37,16 @@ eventLabel(const Event &ev, const Program *prog)
         return strformat("E%u %s(%s)", ev.id, what, addr.c_str());
     }
     std::string rw;
-    std::size_t shown = 0;
-    ev.readSet.forEach([&](std::size_t a) {
-        if (shown++ < 3) {
-            rw += "R" + (prog ? prog->addrName(static_cast<Addr>(a))
-                              : strformat("[%zu]", a)) +
+    const auto show = [&](const char *tag,
+                          const std::vector<Addr> &words) {
+        for (std::size_t i = 0; i < words.size() && i < 3; ++i) {
+            rw += tag + (prog ? prog->addrName(words[i])
+                              : strformat("[%u]", words[i])) +
                   " ";
         }
-    });
-    shown = 0;
-    ev.writeSet.forEach([&](std::size_t a) {
-        if (shown++ < 3) {
-            rw += "W" + (prog ? prog->addrName(static_cast<Addr>(a))
-                              : strformat("[%zu]", a)) +
-                  " ";
-        }
-    });
+    };
+    show("R", ev.readSet);
+    show("W", ev.writeSet);
     return strformat("E%u comp(%u ops)\\n%s", ev.id, ev.opCount,
                      escape(rw).c_str());
 }

@@ -165,18 +165,15 @@ findRaces(const ExecutionTrace &trace, const ReachabilityIndex &reach,
             else
                 acc.readers.push_back(ev.id);
         } else {
-            ev.writeSet.forEach([&](std::size_t a) {
-                cover(static_cast<Addr>(a)).writers.push_back(ev.id);
-            });
-            ev.readSet.forEach([&](std::size_t a) {
+            for (const Addr a : ev.writeSet)
+                cover(a).writers.push_back(ev.id);
+            for (const Addr a : ev.readSet) {
                 // An event both reading and writing a word already
                 // sits in writers; listing it in readers too would
                 // only self-pair (skipped below), so keep it once.
-                if (!ev.writeSet.test(a)) {
-                    cover(static_cast<Addr>(a))
-                        .readers.push_back(ev.id);
-                }
-            });
+                if (!ev.writes(a))
+                    cover(a).readers.push_back(ev.id);
+            }
         }
     }
 

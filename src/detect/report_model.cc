@@ -1,5 +1,7 @@
 #include "detect/report_model.hh"
 
+#include <algorithm>
+
 #include "common/string_util.hh"
 
 namespace wmr {
@@ -40,14 +42,13 @@ summarizeEvent(const Event &ev)
         info.syncOp = ev.syncOp;
         return info;
     }
-    ev.readSet.forEach([&](std::size_t a) {
-        if (info.reads.size() < 4)
-            info.reads.push_back(static_cast<Addr>(a));
-    });
-    ev.writeSet.forEach([&](std::size_t a) {
-        if (info.writes.size() < 4)
-            info.writes.push_back(static_cast<Addr>(a));
-    });
+    const auto firstFour = [](const std::vector<Addr> &words) {
+        return std::vector<Addr>(
+            words.begin(),
+            words.begin() + std::min<std::size_t>(words.size(), 4));
+    };
+    info.reads = firstFour(ev.readSet);
+    info.writes = firstFour(ev.writeSet);
     return info;
 }
 

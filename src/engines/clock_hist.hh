@@ -19,6 +19,7 @@
 #define WMR_ENGINES_CLOCK_HIST_HH
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <vector>
 
@@ -164,13 +165,10 @@ eventAccesses(const Event &ev, std::vector<Addr> &writes,
             reads.push_back(ev.syncOp.addr);
         return;
     }
-    ev.writeSet.forEach([&](std::size_t a) {
-        writes.push_back(static_cast<Addr>(a));
-    });
-    ev.readSet.forEach([&](std::size_t a) {
-        if (!ev.writeSet.test(a))
-            reads.push_back(static_cast<Addr>(a));
-    });
+    writes = ev.writeSet;
+    std::set_difference(ev.readSet.begin(), ev.readSet.end(),
+                        ev.writeSet.begin(), ev.writeSet.end(),
+                        std::back_inserter(reads));
 }
 
 } // namespace wmr::engines::detail

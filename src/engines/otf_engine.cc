@@ -63,21 +63,21 @@ OtfEngine::feed(const Event &ev)
     op.acquire = false;
     op.release = false;
     op.id = ev.firstOp;
-    ev.readSet.forEach([&](std::size_t a) {
+    for (const Addr a : ev.readSet) {
         op.kind = OpKind::Read;
-        op.addr = static_cast<Addr>(a);
-        op.pc = static_cast<std::uint32_t>(a);
+        op.addr = a;
+        op.pc = a;
         det_->onOp(op);
         synthOps.inc();
-    });
+    }
     op.id = ev.lastOp;
-    ev.writeSet.forEach([&](std::size_t a) {
+    for (const Addr a : ev.writeSet) {
         op.kind = OpKind::Write;
-        op.addr = static_cast<Addr>(a);
-        op.pc = static_cast<std::uint32_t>(a);
+        op.addr = a;
+        op.pc = a;
         det_->onOp(op);
         synthOps.inc();
-    });
+    }
 }
 
 EngineVerdict

@@ -8,10 +8,10 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "common/worker_pool.hh"
 #include "obs/obs.hh"
 #include "pipeline/checkpoint.hh"
 #include "pipeline/work_queue.hh"
-#include "pipeline/worker_pool.hh"
 #include "stream/stream_analyzer.hh"
 #include "trace/trace_io.hh"
 

@@ -707,12 +707,8 @@ Tracer::finalize()
         if (sev->kind == EventKind::Sync) {
             ev.syncOp = sev->syncOp;
         } else {
-            ev.readSet.resize(words);
-            ev.writeSet.resize(words);
-            for (const Addr a : sev->readWords)
-                ev.readSet.set(a);
-            for (const Addr a : sev->writeWords)
-                ev.writeSet.set(a);
+            ev.readSet = std::move(sev->readWords);
+            ev.writeSet = std::move(sev->writeWords);
         }
         const EventId id = built_.addEvent(std::move(ev));
         if (sev->kind == EventKind::Sync) {

@@ -1,28 +1,26 @@
 #include "trace/event.hh"
 
+#include <iterator>
+
 namespace wmr {
+
+namespace {
+
+/** Append the words of sorted lists @p a and @p b have in common. */
+void
+appendCommon(const std::vector<Addr> &a, const std::vector<Addr> &b,
+             std::vector<Addr> &out)
+{
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(out));
+}
+
+} // namespace
 
 bool
 eventsConflict(const Event &a, const Event &b)
 {
-    if (a.kind == EventKind::Sync && b.kind == EventKind::Sync) {
-        return conflict(a.syncOp, b.syncOp);
-    }
-    if (a.kind == EventKind::Sync)
-        return eventsConflict(b, a);
-
-    // a is a computation event.
-    if (b.kind == EventKind::Sync) {
-        const Addr addr = b.syncOp.addr;
-        if (b.syncOp.kind == OpKind::Write)
-            return a.readSet.test(addr) || a.writeSet.test(addr);
-        return a.writeSet.test(addr);
-    }
-
-    // Both computation: W-W, W-R or R-W overlap.
-    return a.writeSet.intersects(b.writeSet) ||
-           a.writeSet.intersects(b.readSet) ||
-           a.readSet.intersects(b.writeSet);
+    return !conflictAddrs(a, b).empty();
 }
 
 std::vector<Addr>
@@ -40,23 +38,18 @@ conflictAddrs(const Event &a, const Event &b)
     if (b.kind == EventKind::Sync) {
         const Addr addr = b.syncOp.addr;
         if (b.syncOp.kind == OpKind::Write
-                ? (a.readSet.test(addr) || a.writeSet.test(addr))
-                : a.writeSet.test(addr)) {
+                ? (a.reads(addr) || a.writes(addr))
+                : a.writes(addr)) {
             out.push_back(addr);
         }
         return out;
     }
 
-    DenseBitset ww = a.writeSet;
-    ww &= b.writeSet;
-    DenseBitset wr = a.writeSet;
-    wr &= b.readSet;
-    DenseBitset rw = a.readSet;
-    rw &= b.writeSet;
-    ww |= wr;
-    ww |= rw;
-    for (const auto addr : ww.toVector())
-        out.push_back(addr);
+    appendCommon(a.writeSet, b.writeSet, out);
+    appendCommon(a.writeSet, b.readSet, out);
+    appendCommon(a.readSet, b.writeSet, out);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
 }
 

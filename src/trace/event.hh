@@ -5,16 +5,21 @@
  * A processor's execution is viewed as a sequence of events: each
  * synchronization operation is its own *sync event*, and each maximal
  * run of consecutively executed data operations is one *computation
- * event* carrying READ and WRITE sets (bit-vectors over the shared
- * address universe) instead of per-operation traces.
+ * event* carrying READ and WRITE sets instead of per-operation traces.
+ *
+ * The paper records those sets as bit-vectors over the shared address
+ * universe to keep tracing cheap; that is also the legacy WMRTRC01
+ * wire encoding.  In memory (as in WMRSEG01) a set is the sorted,
+ * duplicate-free list of the words it holds, so an event costs memory
+ * in proportion to its own accesses, not to the universe.
  */
 
 #ifndef WMR_TRACE_EVENT_HH
 #define WMR_TRACE_EVENT_HH
 
+#include <algorithm>
 #include <vector>
 
-#include "common/dense_bitset.hh"
 #include "common/types.hh"
 #include "sim/mem_op.hh"
 
@@ -53,11 +58,16 @@ struct Event
     EventId pairedRelease = kNoEvent;
 
     // --- Computation-event payload ------------------------------
-    /** Shared words read by the event's data operations. */
-    DenseBitset readSet;
+    /**
+     * Shared words read by the event's data operations, ascending and
+     * without duplicates once the event is in an ExecutionTrace
+     * (ExecutionTrace::addEvent puts it in that form).
+     */
+    std::vector<Addr> readSet;
 
-    /** Shared words written by the event's data operations. */
-    DenseBitset writeSet;
+    /** Shared words written by the event's data operations (same
+     *  form as readSet). */
+    std::vector<Addr> writeSet;
 
     /**
      * Optional: ids of the member operations (retained when the
@@ -73,7 +83,8 @@ struct Event
     {
         if (kind == EventKind::Sync)
             return syncOp.kind == OpKind::Read && syncOp.addr == addr;
-        return readSet.test(addr);
+        return std::binary_search(readSet.begin(), readSet.end(),
+                                  addr);
     }
 
     /** @return whether the event writes @p addr. */
@@ -82,7 +93,8 @@ struct Event
     {
         if (kind == EventKind::Sync)
             return syncOp.kind == OpKind::Write && syncOp.addr == addr;
-        return writeSet.test(addr);
+        return std::binary_search(writeSet.begin(), writeSet.end(),
+                                  addr);
     }
 };
 

@@ -7,6 +7,19 @@
 
 namespace wmr {
 
+namespace {
+
+/** Sort @p words ascending and drop duplicates. */
+void
+normalizeWords(std::vector<Addr> &words)
+{
+    if (!std::is_sorted(words.begin(), words.end()))
+        std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+}
+
+} // namespace
+
 void
 ExecutionTrace::setShape(ProcId procs, Addr words)
 {
@@ -22,6 +35,8 @@ ExecutionTrace::addEvent(Event ev)
     ev.indexInProc =
         static_cast<std::uint32_t>(perProc_[ev.proc].size());
     perProc_[ev.proc].push_back(ev.id);
+    normalizeWords(ev.readSet);
+    normalizeWords(ev.writeSet);
     if (ev.kind == EventKind::Sync) {
         syncOrder_[ev.syncOp.addr].push_back(ev.id);
         ++numSync_;
@@ -92,16 +107,14 @@ buildTrace(const ExecutionResult &res, const TraceBuildOptions &opts)
                 comp.kind = EventKind::Computation;
                 comp.proc = p;
                 comp.firstOp = oid;
-                comp.readSet.resize(words);
-                comp.writeSet.resize(words);
                 open = true;
             }
             comp.lastOp = oid;
             ++comp.opCount;
             if (op.kind == OpKind::Read)
-                comp.readSet.set(op.addr);
+                comp.readSet.push_back(op.addr);
             else
-                comp.writeSet.set(op.addr);
+                comp.writeSet.push_back(op.addr);
             if (opts.keepMemberOps)
                 comp.memberOps.push_back(oid);
         }

@@ -97,7 +97,12 @@ class ExecutionTrace
     void setFirstStaleRead(OpId op) { firstStaleRead_ = op; }
     void setTotalOps(std::uint64_t n) { totalOps_ = n; }
 
-    /** Append @p ev (id and indexInProc are assigned here). */
+    /**
+     * Append @p ev.  Its id and indexInProc are assigned here, and
+     * its READ/WRITE word lists are sorted and deduplicated: this is
+     * the one place an event's sets take their canonical form, so
+     * producers may append words in any order.
+     */
     EventId addEvent(Event ev);
 
     /** Mutable access for builders (pairing resolution). */

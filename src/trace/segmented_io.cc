@@ -271,12 +271,8 @@ rebuildTrace(std::vector<FileEvent> &events, const SegmentScanner &scan,
         if (fe.kind == EventKind::Sync) {
             ev.syncOp = fe.syncOp;
         } else {
-            ev.readSet.resize(words);
-            ev.writeSet.resize(words);
-            for (const Addr w : fe.readWords)
-                ev.readSet.set(w);
-            for (const Addr w : fe.writeWords)
-                ev.writeSet.set(w);
+            ev.readSet = std::move(fe.readWords);
+            ev.writeSet = std::move(fe.writeWords);
         }
         idByOrdinal[order[i]] = trace.addEvent(std::move(ev));
     }
@@ -798,12 +794,8 @@ serializeSegmentedTrace(const ExecutionTrace &trace,
                                  ? 0
                                  : ev.pairedRelease + 1ull;
             } else {
-                ev.readSet.forEach([&](std::size_t w) {
-                    fe.readWords.push_back(static_cast<Addr>(w));
-                });
-                ev.writeSet.forEach([&](std::size_t w) {
-                    fe.writeWords.push_back(static_cast<Addr>(w));
-                });
+                fe.readWords = ev.readSet;
+                fe.writeWords = ev.writeSet;
             }
             encodeFileEvent(enc, fe);
             opsSoFar += ev.opCount;

@@ -298,9 +298,9 @@ class SegmentTailReader
 };
 
 /**
- * One event as the segmented container carries it — word lists
- * instead of universe-sized bitsets, so events can be encoded before
- * the address universe is known (the whole point of spilling).
+ * One event as the segmented container carries it — READ/WRITE word
+ * lists, which need no address universe, so events can be encoded
+ * before the universe is known (the whole point of spilling).
  */
 struct SegEvent
 {

@@ -107,7 +107,14 @@ decodeLegacyOrThrow(const std::vector<std::uint8_t> &bytes)
         ev.opCount = static_cast<std::uint32_t>(dec.u64());
         if (ev.kind == EventKind::Sync) {
             ev.syncOp = wire::decodeMemOp(dec);
-            pairing[i] = static_cast<EventId>(dec.u64());
+            // Bound the raw id before narrowing it: only kNoEvent or
+            // an id inside the file can name a release.
+            const std::uint64_t rawPairing = dec.u64();
+            if (rawPairing != kNoEvent && rawPairing >= nevents)
+                parseFail("trace file: event pairing %llu out of "
+                          "range",
+                          static_cast<unsigned long long>(rawPairing));
+            pairing[i] = static_cast<EventId>(rawPairing);
         } else {
             ev.readSet = wire::decodeBitset(dec);
             ev.writeSet = wire::decodeBitset(dec);
@@ -121,11 +128,15 @@ decodeLegacyOrThrow(const std::vector<std::uint8_t> &bytes)
         if (id != static_cast<EventId>(i))
             parseFail("trace file: events out of id order");
     }
+    // The WMRSEG01 rule: a pairing must name an existing sync event.
     for (std::uint64_t i = 0; i < nevents; ++i) {
-        if (pairing[i] != kNoEvent) {
-            trace.mutableEvent(static_cast<EventId>(i)).pairedRelease =
-                pairing[i];
-        }
+        if (pairing[i] == kNoEvent)
+            continue;
+        if (trace.event(pairing[i]).kind != EventKind::Sync)
+            parseFail("trace file: event pairing %u unresolvable",
+                      static_cast<unsigned>(pairing[i]));
+        trace.mutableEvent(static_cast<EventId>(i)).pairedRelease =
+            pairing[i];
     }
     if (!dec.done())
         parseFail("trace file: trailing bytes");

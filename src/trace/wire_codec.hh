@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "common/dense_bitset.hh"
+#include "common/types.hh"
 #include "sim/mem_op.hh"
 
 namespace wmr::wire {
@@ -162,9 +162,14 @@ class Decoder
     std::size_t pos_ = 0;
 };
 
-/** The bitset encoding of the legacy WMRTRC01 container: SPARSE
- *  (delta-coded set-bit indices) or DENSE (raw words). */
-inline DenseBitset
+/**
+ * The bitset encoding of the legacy WMRTRC01 container: SPARSE
+ * (delta-coded set-bit indices) or DENSE (raw 64-bit words), decoded
+ * straight into the ascending list of set-bit indices, so the
+ * declared universe costs no memory.  Every set bit must lie below
+ * the declared universe.
+ */
+inline std::vector<Addr>
 decodeBitset(Decoder &dec)
 {
     constexpr std::uint64_t kMaxBits = 1ull << 28; // 32 MiB of bits
@@ -172,9 +177,9 @@ decodeBitset(Decoder &dec)
     if (nbits > kMaxBits)
         parseFail("trace file: bitset universe %llu too large",
                   static_cast<unsigned long long>(nbits));
+    std::vector<Addr> out;
     const bool sparse = dec.u64() != 0;
     if (sparse) {
-        DenseBitset bs(nbits);
         const std::uint64_t count = dec.u64();
         dec.checkCount(count, "sparse bitset");
         std::uint64_t idx = 0;
@@ -184,18 +189,28 @@ decodeBitset(Decoder &dec)
                 parseFail("trace file: bitset index %llu out of "
                           "range",
                           static_cast<unsigned long long>(idx));
-            bs.set(idx);
+            out.push_back(static_cast<Addr>(idx));
         }
-        return bs;
+        return out;
     }
     const std::uint64_t nwords = dec.u64();
     dec.checkCount(nwords, "bitset words");
     if (nwords * 64 < nbits)
         parseFail("trace file: bitset words underflow universe");
-    std::vector<std::uint64_t> words(nwords);
-    for (auto &w : words)
-        w = dec.u64();
-    return DenseBitset::fromWords(std::move(words), nbits);
+    for (std::uint64_t w = 0; w < nwords; ++w) {
+        std::uint64_t bits = dec.u64();
+        while (bits) {
+            const std::uint64_t idx =
+                w * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+            if (idx >= nbits)
+                parseFail("trace file: bitset bit %llu past the "
+                          "universe",
+                          static_cast<unsigned long long>(idx));
+            out.push_back(static_cast<Addr>(idx));
+            bits &= bits - 1;
+        }
+    }
+    return out;
 }
 
 inline void

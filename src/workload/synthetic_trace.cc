@@ -75,14 +75,12 @@ makeSyntheticTrace(const SyntheticTraceOptions &opts)
                     lastRelease[w] = id;
             } else {
                 ev.kind = EventKind::Computation;
-                ev.readSet.resize(opts.memWords);
-                ev.writeSet.resize(opts.memWords);
                 const auto nr = 1 + rng.below(opts.maxReads);
                 const auto nw = rng.below(opts.maxWrites + 1);
                 for (std::uint64_t i = 0; i < nr; ++i)
-                    ev.readSet.set(dataAddr());
+                    ev.readSet.push_back(dataAddr());
                 for (std::uint64_t i = 0; i < nw; ++i)
-                    ev.writeSet.set(dataAddr());
+                    ev.writeSet.push_back(dataAddr());
                 const auto ops = nr + nw;
                 ev.firstOp = nextOp;
                 ev.lastOp = static_cast<OpId>(nextOp + ops - 1);

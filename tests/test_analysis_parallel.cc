@@ -279,7 +279,7 @@ twoProcConflictTrace(Addr span, bool paired)
     c0.kind = EventKind::Computation;
     c0.proc = 0;
     for (Addr a = 0; a < span; ++a)
-        c0.writeSet.set(10 + a);
+        c0.writeSet.push_back(10 + a);
     c0.opCount = static_cast<std::uint32_t>(span);
     trace.addEvent(std::move(c0));
 
@@ -309,7 +309,7 @@ twoProcConflictTrace(Addr span, bool paired)
     c1.kind = EventKind::Computation;
     c1.proc = 1;
     for (Addr a = 0; a < span; ++a)
-        c1.writeSet.set(10 + a);
+        c1.writeSet.push_back(10 + a);
     c1.opCount = static_cast<std::uint32_t>(span);
     trace.addEvent(std::move(c1));
 

@@ -1,127 +1,15 @@
 /**
  * @file
- * Unit tests of the common substrate: bitsets, RNG, strings.
+ * Unit tests of the common substrate: RNG, strings.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/dense_bitset.hh"
 #include "common/rng.hh"
 #include "common/string_util.hh"
 
 namespace wmr {
 namespace {
-
-TEST(DenseBitset, StartsEmpty)
-{
-    DenseBitset bs(128);
-    EXPECT_EQ(bs.size(), 128u);
-    EXPECT_TRUE(bs.empty());
-    EXPECT_EQ(bs.count(), 0u);
-    for (std::size_t i = 0; i < 128; ++i)
-        EXPECT_FALSE(bs.test(i));
-}
-
-TEST(DenseBitset, SetTestReset)
-{
-    DenseBitset bs(100);
-    bs.set(0);
-    bs.set(63);
-    bs.set(64);
-    bs.set(99);
-    EXPECT_TRUE(bs.test(0));
-    EXPECT_TRUE(bs.test(63));
-    EXPECT_TRUE(bs.test(64));
-    EXPECT_TRUE(bs.test(99));
-    EXPECT_FALSE(bs.test(1));
-    EXPECT_EQ(bs.count(), 4u);
-    bs.reset(63);
-    EXPECT_FALSE(bs.test(63));
-    EXPECT_EQ(bs.count(), 3u);
-}
-
-TEST(DenseBitset, SetGrowsUniverse)
-{
-    DenseBitset bs(4);
-    bs.set(200);
-    EXPECT_GE(bs.size(), 201u);
-    EXPECT_TRUE(bs.test(200));
-}
-
-TEST(DenseBitset, OutOfRangeQueriesAreFalse)
-{
-    DenseBitset bs(10);
-    EXPECT_FALSE(bs.test(1000));
-    bs.reset(1000); // no-op, no crash
-    EXPECT_EQ(bs.size(), 10u);
-}
-
-TEST(DenseBitset, UnionIntersect)
-{
-    DenseBitset a(70), b(70);
-    a.set(1);
-    a.set(65);
-    b.set(2);
-    b.set(65);
-    EXPECT_TRUE(a.intersects(b));
-    DenseBitset c = a;
-    c |= b;
-    EXPECT_EQ(c.count(), 3u);
-    c &= b;
-    EXPECT_EQ(c.count(), 2u);
-    EXPECT_TRUE(c.test(2));
-    EXPECT_TRUE(c.test(65));
-}
-
-TEST(DenseBitset, DisjointDoNotIntersect)
-{
-    DenseBitset a(130), b(130);
-    a.set(5);
-    a.set(129);
-    b.set(6);
-    b.set(128);
-    EXPECT_FALSE(a.intersects(b));
-}
-
-TEST(DenseBitset, IntersectsDifferentSizes)
-{
-    DenseBitset a(10), b(500);
-    a.set(3);
-    b.set(3);
-    EXPECT_TRUE(a.intersects(b));
-    EXPECT_TRUE(b.intersects(a));
-    b.reset(3);
-    b.set(400);
-    EXPECT_FALSE(a.intersects(b));
-}
-
-TEST(DenseBitset, ForEachVisitsAscending)
-{
-    DenseBitset bs(300);
-    const std::vector<std::uint32_t> want{0, 63, 64, 127, 255, 299};
-    for (const auto i : want)
-        bs.set(i);
-    EXPECT_EQ(bs.toVector(), want);
-}
-
-TEST(DenseBitset, EqualityIgnoresUniverseSize)
-{
-    DenseBitset a(64), b(256);
-    a.set(7);
-    b.set(7);
-    EXPECT_TRUE(a == b);
-    b.set(200);
-    EXPECT_FALSE(a == b);
-}
-
-TEST(DenseBitset, RoundTripWords)
-{
-    DenseBitset a(130);
-    a.set(0);
-    a.set(129);
-    const DenseBitset b = DenseBitset::fromWords(a.words(), 130);
-    EXPECT_TRUE(a == b);
-}
 
 TEST(Rng, Deterministic)
 {

@@ -365,8 +365,7 @@ tinyWwRaceTrace()
         ev.proc = p;
         ev.firstOp = ev.lastOp = p;
         ev.opCount = 1;
-        ev.writeSet.resize(4);
-        ev.writeSet.set(0);
+        ev.writeSet = {0};
         trace.addEvent(ev);
     }
     return trace;

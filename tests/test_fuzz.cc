@@ -2,9 +2,11 @@
  * @file
  * Robustness fuzzing: corrupted trace files and serve frames must
  * come back typed — a parse error or a valid decode — never crash,
- * hang, or allocate unboundedly.  Every parser returns its outcome
- * (none of them fatal()s), so mutations run in-process: a crash
- * fails the whole binary, a hang trips the CTest timeout.
+ * hang, or allocate unboundedly.  A trace decode that comes back ok
+ * must also be analyzable: it is run through analyzeTrace() and every
+ * detector engine.  Every parser returns its outcome (none of them
+ * fatal()s), so mutations run in-process: a crash fails the whole
+ * binary, a hang trips the CTest timeout.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 #include <unistd.h>
 
 #include "common/rng.hh"
+#include "detect/analysis.hh"
+#include "engines/family.hh"
 #include "serve/protocol.hh"
 #include "trace/segmented_io.hh"
 #include "trace/trace_io.hh"
@@ -40,7 +44,20 @@ baseline()
         std::istreambuf_iterator<char>());
 }
 
-/** A decode must come back typed: ok with a usable trace, or a
+/** Run an ok decode through the whole-trace analysis and every
+ *  detector engine: "ok" must mean "analyzable". */
+void
+expectAnalyzable(const ExecutionTrace &trace)
+{
+    using engines::EngineKind;
+    (void)analyzeTrace(trace);
+    engines::EngineFamilyOptions fopts;
+    fopts.kinds = {EngineKind::Hb1, EngineKind::Shb,   EngineKind::Wcp,
+                   EngineKind::Vc,  EngineKind::Epoch, EngineKind::Lockset};
+    (void)engines::runEngineFamily(trace, fopts);
+}
+
+/** A decode must come back typed: ok with an analyzable trace, or a
  *  FormatError with a reason. */
 void
 expectTyped(const std::vector<std::uint8_t> &bytes,
@@ -48,7 +65,7 @@ expectTyped(const std::vector<std::uint8_t> &bytes,
 {
     const auto res = tryDeserializeTrace(bytes);
     if (res.ok()) {
-        (void)res.trace.events().size();
+        expectAnalyzable(res.trace);
     } else {
         EXPECT_EQ(res.status, TraceIoStatus::FormatError) << what;
         EXPECT_FALSE(res.error.empty()) << what;
@@ -301,9 +318,11 @@ TEST(FuzzRegression, CommittedInputsStayTyped)
             EXPECT_FALSE(strict.error.empty());
             const auto salvage = trySalvageTrace(bytes);
             if (salvage.ok())
-                (void)salvage.trace.events().size();
+                expectAnalyzable(salvage.trace);
             else
                 EXPECT_FALSE(salvage.error.empty());
+        } else if (name.rfind("legacy_", 0) == 0) {
+            expectTyped(bytes, name);
         } else {
             FAIL() << "unrecognized fuzz fixture prefix: " << name;
         }

@@ -127,8 +127,7 @@ cyclicTrace()
         ev.firstOp = ev.lastOp = op;
         ev.opCount = 1;
         ev.memberOps = {op};
-        ev.writeSet.resize(8);
-        ev.writeSet.set(w);
+        ev.writeSet = {w};
         return trace.addEvent(ev);
     };
 

@@ -148,8 +148,8 @@ TEST(SegmentedRoundTrip, StrictReadIsLossless)
         EXPECT_EQ(a.proc, b.proc) << "event " << i;
         EXPECT_EQ(a.firstOp, b.firstOp) << "event " << i;
         EXPECT_EQ(a.pairedRelease, b.pairedRelease) << "event " << i;
-        EXPECT_TRUE(a.readSet == b.readSet) << "event " << i;
-        EXPECT_TRUE(a.writeSet == b.writeSet) << "event " << i;
+        EXPECT_EQ(a.readSet, b.readSet) << "event " << i;
+        EXPECT_EQ(a.writeSet, b.writeSet) << "event " << i;
     }
 }
 
@@ -338,12 +338,8 @@ spillTrace(const ExecutionTrace &src, SegmentSpillWriter &w,
             if (ev.pairedRelease != kNoEvent)
                 se.pairedToken = 1 + ev.pairedRelease;
         } else {
-            for (Addr a = 0; a < src.memWords(); ++a) {
-                if (ev.readSet.test(a))
-                    se.readWords.push_back(a);
-                if (ev.writeSet.test(a))
-                    se.writeWords.push_back(a);
-            }
+            se.readWords = ev.readSet;
+            se.writeWords = ev.writeSet;
         }
         ops += ev.opCount;
         w.setCounters(ops, 0);

@@ -499,6 +499,29 @@ TEST(ServeServer, UnparseableUploadIsBadRequest)
               std::string::npos)
         << res.response.meta.error;
     EXPECT_EQ(rs.server->stats().badRequests, 1u);
+
+    // A well-formed legacy WMRTRC01 upload whose acquire pairs with an
+    // event id past the end of the file: refused as BadRequest, and
+    // the daemon is still there to answer the next request.
+    std::ifstream in(std::string(WMR_FUZZ_DIR) +
+                         "/legacy_pairing_out_of_range.bin",
+                     std::ios::binary);
+    ASSERT_TRUE(in.good());
+    const std::vector<std::uint8_t> badPairing(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    SubmitResult bad = submitTraceBytes(rs.addr, badPairing);
+    ASSERT_TRUE(bad.ok) << bad.error;
+    EXPECT_EQ(bad.response.status, RespStatus::BadRequest);
+    EXPECT_NE(bad.response.meta.error.find("pairing"),
+              std::string::npos)
+        << bad.response.meta.error;
+    EXPECT_EQ(rs.server->stats().badRequests, 2u);
+
+    SubmitResult next = submitTraceBytes(rs.addr, makeTraceBytes(3));
+    ASSERT_TRUE(next.ok) << next.error;
+    EXPECT_EQ(next.response.status, RespStatus::Ok)
+        << next.response.meta.error;
 }
 
 TEST(ServeServer, SalvageUploadMatchesLocalSalvageCheck)

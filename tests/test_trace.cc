@@ -48,8 +48,7 @@ TEST(Events, ReadWriteSetsAreExact)
     const auto res = runFig1b();
     const auto trace = buildTrace(res);
     const Event &comp = trace.event(trace.procEvents(0)[0]);
-    EXPECT_TRUE(comp.writeSet.test(0)); // x
-    EXPECT_TRUE(comp.writeSet.test(1)); // y
+    EXPECT_EQ(comp.writeSet, (std::vector<Addr>{0, 1})); // x, y
     EXPECT_TRUE(comp.readSet.empty());
     EXPECT_TRUE(comp.writes(0));
     EXPECT_FALSE(comp.reads(0));
@@ -163,12 +162,11 @@ TEST(EventConflicts, ComputationVsComputation)
 {
     Event a, b;
     a.kind = b.kind = EventKind::Computation;
-    a.writeSet.set(3);
-    b.readSet.set(3);
+    a.writeSet = {3};
+    b.readSet = {3};
     EXPECT_TRUE(eventsConflict(a, b));
     EXPECT_EQ(conflictAddrs(a, b), std::vector<Addr>{3});
-    b.readSet.reset(3);
-    b.readSet.set(4);
+    b.readSet = {4};
     EXPECT_FALSE(eventsConflict(a, b));
 }
 
@@ -176,8 +174,8 @@ TEST(EventConflicts, ReadReadDoesNotConflict)
 {
     Event a, b;
     a.kind = b.kind = EventKind::Computation;
-    a.readSet.set(3);
-    b.readSet.set(3);
+    a.readSet = {3};
+    b.readSet = {3};
     EXPECT_FALSE(eventsConflict(a, b));
 }
 
@@ -188,13 +186,13 @@ TEST(EventConflicts, SyncVsComputation)
     s.syncOp.kind = OpKind::Write;
     s.syncOp.addr = 5;
     c.kind = EventKind::Computation;
-    c.readSet.set(5);
+    c.readSet = {5};
     EXPECT_TRUE(eventsConflict(s, c));
     EXPECT_TRUE(eventsConflict(c, s));
     // Sync read vs computation read: no conflict.
     s.syncOp.kind = OpKind::Read;
     EXPECT_FALSE(eventsConflict(s, c));
-    c.writeSet.set(5);
+    c.writeSet = {5};
     EXPECT_TRUE(eventsConflict(s, c));
 }
 
@@ -223,8 +221,8 @@ TEST(TraceIo, SerializeRoundTrip)
         EXPECT_EQ(a.lastOp, b.lastOp);
         EXPECT_EQ(a.opCount, b.opCount);
         EXPECT_EQ(a.pairedRelease, b.pairedRelease);
-        EXPECT_TRUE(a.readSet == b.readSet);
-        EXPECT_TRUE(a.writeSet == b.writeSet);
+        EXPECT_EQ(a.readSet, b.readSet);
+        EXPECT_EQ(a.writeSet, b.writeSet);
         EXPECT_TRUE(b.memberOps.empty());
         if (a.kind == EventKind::Sync) {
             EXPECT_EQ(a.syncOp.addr, b.syncOp.addr);

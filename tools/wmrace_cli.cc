@@ -614,7 +614,7 @@ cmdCheck(const Args &args)
     const TraceOut traceOut(args);
     if (args.has("stream"))
         return cmdCheckStream(args);
-    const TraceReadResult lt =
+    TraceReadResult lt =
         tryReadTraceFile(args.positional()[0], args.has("salvage"));
     if (!lt.ok())
         fatal("%s%s", lt.error.c_str(),
@@ -644,7 +644,8 @@ cmdCheck(const Args &args)
                     engines::formatFamilyReport(fam).c_str());
         return fam.anyDataRace ? 1 : 0;
     }
-    const DetectionResult det = analyzeTrace(lt.trace, aopts);
+    const DetectionResult det =
+        analyzeTrace(std::move(lt.trace), aopts);
     ReportOptions ropts;
     ropts.showEvents = args.has("events");
     std::printf("%s", formatReport(det, nullptr, ropts).c_str());
@@ -1166,7 +1167,7 @@ cmdRecord(int argc, char **argv)
     // Strict read after a clean exit; salvage after an abnormal one
     // (the spill file has no FIN segment — that is expected, not an
     // error).
-    const TraceReadResult lt = tryReadTraceFile(out, oc.abnormal());
+    TraceReadResult lt = tryReadTraceFile(out, oc.abnormal());
     if (!lt.ok()) {
         std::fprintf(stderr,
                      "record: no analyzable trace: %s\n",
@@ -1175,7 +1176,7 @@ cmdRecord(int argc, char **argv)
     }
     std::printf("%s",
                 formatTraceProvenance(lt.segmented, lt.salvage).c_str());
-    const DetectionResult det = analyzeTrace(lt.trace);
+    const DetectionResult det = analyzeTrace(std::move(lt.trace));
     std::printf("%s", formatReport(det, nullptr, {}).c_str());
     return det.anyDataRace() ? 1 : 0;
 }
