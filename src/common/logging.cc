@@ -24,7 +24,7 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     vreport("fatal", fmt, args);
     va_end(args);
-    std::exit(1);
+    std::exit(2);
 }
 
 void

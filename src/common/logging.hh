@@ -3,7 +3,8 @@
  * Error and status reporting in the spirit of gem5's logging.hh.
  *
  * fatal()  — the user's fault (bad program, bad configuration);
- *            prints and exits with status 1.
+ *            prints and exits with status 2 (1 means "data race
+ *            found" to every wmrace command).
  * panic()  — a wmrace bug (broken invariant); prints and aborts.
  * warn()   — something dubious but survivable.
  * inform() — plain status output.
@@ -17,7 +18,7 @@
 
 namespace wmr {
 
-/** Print a formatted fatal error (user error) and exit(1). */
+/** Print a formatted fatal error (user error) and exit(2). */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 

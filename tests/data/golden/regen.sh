@@ -22,7 +22,7 @@ REPO=../../..
 WMRACE=${1:-$REPO/build/tools/wmrace}
 
 # `run` and `check` exit 1 when the input HAS data races — that is a
-# valid golden outcome, not an error.
+# valid golden outcome, not an error (errors exit 2).
 races_ok() {
     if "$@"; then :; else
         rc=$?

@@ -242,18 +242,18 @@ using AssemblerDeath = ::testing::Test;
 TEST(AssemblerDeath, UnknownMnemonicFatals)
 {
     EXPECT_EXIT(assemble(".thread\n frobnicate r1\n"),
-                ::testing::ExitedWithCode(1), "unknown mnemonic");
+                ::testing::ExitedWithCode(2), "unknown mnemonic");
 }
 
 TEST(AssemblerDeath, UnknownVariableFatals)
 {
     EXPECT_EXIT(assemble(".thread\n load r1, [nosuch]\n"),
-                ::testing::ExitedWithCode(1), "unknown variable");
+                ::testing::ExitedWithCode(2), "unknown variable");
 }
 
 TEST(AssemblerDeath, InstructionBeforeThreadFatals)
 {
-    EXPECT_EXIT(assemble("nop\n"), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(assemble("nop\n"), ::testing::ExitedWithCode(2),
                 "before .thread");
 }
 

@@ -23,10 +23,7 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 SMOKE=0
 [ "${1:-}" = "--smoke" ] && SMOKE=1
 
-BENCHES="bench_analysis_scaling bench_batch_throughput \
-         bench_detector_family bench_model_matrix \
-         bench_obs_overhead bench_serve_throughput \
-         bench_stream_memory"
+BENCHES="bench_model_matrix bench_obs_overhead bench_stream_memory"
 
 status=0
 for bench in $BENCHES; do

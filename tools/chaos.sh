@@ -172,11 +172,6 @@ fail() { # fail RUN MODE MSG [LOGFILE...]
 # crashed STATUS -> 0 (true) when the status means signal/core/hang.
 crashed() { [ "$1" -ge 124 ]; }
 
-# typedError OUTFILE ERRFILE — fatal() exits 1 just like a race
-# report does, so "typed refusal" is recognized by an EMPTY stdout
-# plus the fatal/error marker on stderr.
-typedError() { [ ! -s "$1" ] && grep -q "fatal:\|error:" "$2"; }
-
 TRACES=("$GOLDEN"/*.trace)
 [ -e "${TRACES[0]}" ] || die "no traces in $GOLDEN"
 
@@ -242,8 +237,7 @@ runServe() {
         if crashed "$status"; then
             fail "$run" serve "submit $base: status $status (hang/signal)" \
                 "$sdir/$base.err" "$sdir/serve.log"
-        elif [ $status -eq 2 ] ||
-             { [ $status -le 1 ] && typedError "$got" "$sdir/$base.err"; }; then
+        elif [ $status -eq 2 ]; then
             # typed transport refusal — legal only when the schedule
             # contains a fault that may surface to the client
             [ "$CLASS" = "benign" ] &&
@@ -291,8 +285,7 @@ runStream() {
     if crashed "$status"; then
         fail "$run" stream "check --stream $base: status $status (hang/signal)" \
             "$WORK/stream.$run.err"
-    elif [ $status -gt 1 ] ||
-         { [ $status -le 1 ] && typedError "$got" "$WORK/stream.$run.err"; }; then
+    elif [ $status -gt 1 ]; then
         [ "$CLASS" = "benign" ] &&
             fail "$run" stream "check --stream $base: typed error under a benign-only schedule" \
                 "$WORK/stream.$run.err"
@@ -355,8 +348,7 @@ runEngine() {
     if crashed "$status"; then
         fail "$run" engine "check --engine all $base: status $status (hang/signal)" \
             "$WORK/engine.$run.err"
-    elif [ $status -gt 1 ] ||
-         { [ $status -le 1 ] && typedError "$got" "$WORK/engine.$run.err"; }; then
+    elif [ $status -gt 1 ]; then
         [ "$CLASS" = "benign" ] &&
             fail "$run" engine "check --engine all $base: typed error under a benign-only schedule" \
                 "$WORK/engine.$run.err"
@@ -396,8 +388,7 @@ runModel() {
     status=$?
     if crashed "$status"; then
         fail "$run" model "run $base: status $status (hang/signal)" "$got.err"
-    elif [ $status -gt 1 ] ||
-         { [ $status -le 1 ] && typedError "$got.out" "$got.err"; }; then
+    elif [ $status -gt 1 ]; then
         [ "$CLASS" = "benign" ] &&
             fail "$run" model "run $base: typed error under a benign-only schedule" \
                 "$got.err"
@@ -418,8 +409,7 @@ runModel() {
         status=$?
         if crashed "$status"; then
             fail "$run" model "check $base: status $status (hang/signal)" "$got.check.err"
-        elif [ $status -gt 1 ] ||
-             { [ $status -le 1 ] && typedError "$got.check.out" "$got.check.err"; }; then
+        elif [ $status -gt 1 ]; then
             [ "$CLASS" = "benign" ] &&
                 fail "$run" model "check $base: typed error under a benign-only schedule" \
                     "$got.check.err"
