@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/worker_pool.hh"
+#include "hb/access_history.hh"
 
 namespace wmr {
 
@@ -157,24 +158,15 @@ findRaces(const ExecutionTrace &trace, const ReachabilityIndex &reach,
         return byAddr[a];
     };
 
+    // The access split the single-pass detectors share: an event
+    // both reading and writing a word sits in writers only.
+    AccessSplit split;
     for (const auto &ev : events) {
-        if (ev.kind == EventKind::Sync) {
-            auto &acc = cover(ev.syncOp.addr);
-            if (ev.syncOp.kind == OpKind::Write)
-                acc.writers.push_back(ev.id);
-            else
-                acc.readers.push_back(ev.id);
-        } else {
-            for (const Addr a : ev.writeSet)
-                cover(a).writers.push_back(ev.id);
-            for (const Addr a : ev.readSet) {
-                // An event both reading and writing a word already
-                // sits in writers; listing it in readers too would
-                // only self-pair (skipped below), so keep it once.
-                if (!ev.writes(a))
-                    cover(a).readers.push_back(ev.id);
-            }
-        }
+        splitAccesses(ev, split);
+        for (const Addr a : split.writes)
+            cover(a).writers.push_back(ev.id);
+        for (const Addr a : split.reads)
+            cover(a).readers.push_back(ev.id);
     }
 
     // Shard the address range and enumerate candidates; shard 0 only

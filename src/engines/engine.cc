@@ -1,7 +1,6 @@
 #include "engines/engine.hh"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 namespace wmr::engines {
@@ -53,26 +52,26 @@ engineSelectionHelp()
     return "hb1|shb|wcp|vc|epoch|lockset|all";
 }
 
-std::vector<std::pair<Addr, std::uint32_t>>
-firstRacePerVariable(const std::vector<EngineRace> &races)
+EngineVerdict
+reportEveryRace(std::string engine, std::string semantics,
+                std::vector<EngineRace> races)
 {
-    std::unordered_map<Addr, std::uint32_t> first;
-    for (std::uint32_t i = 0; i < races.size(); ++i) {
-        const EngineRace &r = races[i];
-        for (const Addr a : r.addrs) {
-            const auto [it, fresh] = first.emplace(a, i);
-            if (fresh)
-                continue;
-            const EngineRace &cur = races[it->second];
-            if (std::make_pair(r.b, r.a) <
-                std::make_pair(cur.b, cur.a))
-                it->second = i;
-        }
+    std::sort(races.begin(), races.end(),
+              [](const EngineRace &x, const EngineRace &y) {
+                  return x.a != y.a ? x.a < y.a : x.b < y.b;
+              });
+    EngineVerdict v;
+    v.engine = std::move(engine);
+    v.semantics = std::move(semantics);
+    v.races = std::move(races);
+    v.reported.reserve(v.races.size());
+    for (std::uint32_t i = 0; i < v.races.size(); ++i) {
+        if (v.races[i].isDataRace)
+            ++v.numDataRaces;
+        v.reported.push_back(i);
     }
-    std::vector<std::pair<Addr, std::uint32_t>> out(first.begin(),
-                                                    first.end());
-    std::sort(out.begin(), out.end());
-    return out;
+    v.anyDataRace = v.numDataRaces != 0;
+    return v;
 }
 
 } // namespace wmr::engines

@@ -13,10 +13,10 @@
  *         Sec. 4.2 first-partition reporting), wrapped behind the
  *         interface; its verdict is the canonical baseline.
  *   shb   single-pass vector-clock detection over the same hb1
- *         order, keeping per-variable last-write clocks; sound
- *         BEYOND the first race (reports every hb1-unordered
- *         conflicting pair, with per-variable first-race
- *         attribution), unlike hb1's first-partition policy.
+ *         order; sound BEYOND the first race (reports every
+ *         hb1-unordered conflicting pair, with per-variable
+ *         first-race attribution), unlike hb1's first-partition
+ *         policy.
  *   wcp   weak-causal precedence adapted to the event model: a
  *         paired release→acquire edge is honored only when the two
  *         adjacent critical regions conflict on data, so the order
@@ -30,7 +30,9 @@
  * The construction guarantees reported(hb1) ⊆ races(shb) ⊆
  * races(wcp): shb enumerates the full hb1-unordered set (a superset
  * of the first partitions) and wcp's edge set is a subset of hb1's,
- * so its clocks order no pair hb1 leaves unordered.  The
+ * so its clocks order no pair hb1 leaves unordered.  shb and wcp
+ * (and `check --stream`) share one race test,
+ * hb/access_history.hh, and differ only in their clocks.  The
  * differential harness (tests/test_detector_diff.cc) and the
  * brute-force oracles (tests/test_race_oracle.cc) verify the
  * implementations against that containment chain.  See
@@ -76,20 +78,6 @@ parseEngineSelection(std::string_view name);
 
 /** @return the names parseEngineSelection accepts, for messages. */
 const char *engineSelectionHelp();
-
-struct EngineRace;
-
-/**
- * Per-variable first-race attribution over a CANONICAL race list
- * (sorted by (a, b)): for each address, the race containing it whose
- * later endpoint comes earliest in the execution (minimal (b, a)) —
- * the chronologically first completed race on that variable.  Output
- * is (addr, race index), ascending by addr.  Shared by ShbEngine and
- * the `check --stream --engine shb` path so both derive identical
- * attribution from the same race set.
- */
-std::vector<std::pair<Addr, std::uint32_t>>
-firstRacePerVariable(const std::vector<EngineRace> &races);
 
 /** One race prediction: an event pair and its conflict addresses
  *  (same canonical form as detect/race.hh: a < b, addrs sorted and
@@ -145,6 +133,15 @@ struct EngineVerdict
     std::uint64_t opRacesReported = 0;
     std::uint64_t opRacesDistinct = 0;
 };
+
+/**
+ * The verdict of an engine that reports every race it predicts (shb,
+ * wcp): @p races (each address list canonical) sorted into
+ * canonical (a, b) order, all of them reported.
+ */
+EngineVerdict reportEveryRace(std::string engine,
+                              std::string semantics,
+                              std::vector<EngineRace> races);
 
 /**
  * One engine.  Lifecycle: begin() once, feed() each event in

@@ -14,15 +14,13 @@ WcpEngine::begin(const EngineTraceInfo &info)
 }
 
 bool
-WcpEngine::conflicts(const ReleaseSnap &rel,
-                     const std::vector<Addr> &writes,
-                     const std::vector<Addr> &reads) const
+WcpEngine::conflicts(const ReleaseSnap &rel) const
 {
-    for (const Addr a : writes) {
+    for (const Addr a : acc_.writes) {
         if (rel.writes.count(a) || rel.reads.count(a))
             return true;
     }
-    for (const Addr a : reads) {
+    for (const Addr a : acc_.reads) {
         if (rel.writes.count(a))
             return true;
     }
@@ -49,10 +47,9 @@ WcpEngine::feed(const Event &ev)
     ps.clock.set(p, epoch);
 
     const bool isSync = ev.kind == EventKind::Sync;
-    detail::eventAccesses(ev, writes_, reads_);
+    splitAccesses(ev, acc_);
 
-    if (!isSync && ps.pending &&
-        conflicts(*ps.pendingRel, writes_, reads_)) {
+    if (!isSync && ps.pending && conflicts(*ps.pendingRel)) {
         // WCP rule (a): the releaser's region conflicts with this
         // region access, so the release precedes it.
         ps.clock.join(ps.pendingRel->clock);
@@ -60,8 +57,10 @@ WcpEngine::feed(const Event &ev)
         taken.inc();
     }
 
-    detail::testAndRecord(hist_, ev.id, p, epoch, isSync, ps.clock,
-                          writes_, reads_, table_);
+    for (AccessHistory::Partner &u : hist_.races(acc_, p, ps.clock))
+        races_.push_back(
+            {static_cast<EventId>(u.key), ev.id, std::move(u.addrs)});
+    hist_.record(acc_, ev.id, p, epoch);
 
     if (isSync) {
         // The region ends here: publish this sync event's snapshot
@@ -88,9 +87,9 @@ WcpEngine::feed(const Event &ev)
         ps.regionReads.clear();
         ps.regionWrites.clear();
     } else {
-        for (const Addr a : writes_)
+        for (const Addr a : acc_.writes)
             ps.regionWrites.insert(a);
-        for (const Addr a : reads_)
+        for (const Addr a : acc_.reads)
             ps.regionReads.insert(a);
     }
 }
@@ -99,21 +98,12 @@ EngineVerdict
 WcpEngine::finish()
 {
     static obs::Counter racesCtr = obs::counter("engine.wcp.races");
-
-    EngineVerdict v;
-    v.engine = name();
-    v.semantics = "weak-causal precedence: release-join only over "
-                  "conflicting critical regions (predictive)";
-    v.races = table_.canonical();
-    racesCtr.add(v.races.size());
-
-    for (std::uint32_t i = 0; i < v.races.size(); ++i) {
-        if (v.races[i].isDataRace)
-            ++v.numDataRaces;
-        v.reported.push_back(i);
-    }
-    v.anyDataRace = v.numDataRaces != 0;
-    return v;
+    racesCtr.add(races_.size());
+    return reportEveryRace(name(),
+                           "weak-causal precedence: release-join "
+                           "only over conflicting critical regions "
+                           "(predictive)",
+                           std::move(races_));
 }
 
 } // namespace wmr::engines

@@ -26,7 +26,8 @@
  * Every WCP edge is an hb1 edge, so C_wcp ≤ C_hb1 componentwise and
  * races(wcp) ⊇ races(hb1) by construction — the containment the
  * family asserts and tests/test_race_oracle.cc's brute-force WCP
- * closure oracle verifies.  See docs/DETECTORS.md.
+ * closure oracle verifies.  The race test itself is the one shb
+ * runs (hb/access_history.hh).  See docs/DETECTORS.md.
  */
 
 #ifndef WMR_ENGINES_WCP_ENGINE_HH
@@ -35,8 +36,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "engines/clock_hist.hh"
 #include "engines/engine.hh"
+#include "hb/access_history.hh"
 #include "hb/vector_clock.hh"
 
 namespace wmr::engines {
@@ -78,9 +79,7 @@ class WcpEngine : public DetectorEngine
         const ReleaseSnap *pendingRel = nullptr;
     };
 
-    bool conflicts(const ReleaseSnap &rel,
-                   const std::vector<Addr> &writes,
-                   const std::vector<Addr> &reads) const;
+    bool conflicts(const ReleaseSnap &rel) const;
 
     ProcId procs_ = 0;
     std::vector<ProcState> proc_;
@@ -88,10 +87,9 @@ class WcpEngine : public DetectorEngine
     /** Snapshots of sync events (join sources for pairings). */
     std::unordered_map<EventId, ReleaseSnap> syncSnap_;
 
-    std::unordered_map<Addr, detail::AddrHist> hist_;
-    detail::RaceTable table_;
-
-    std::vector<Addr> writes_, reads_; // scratch
+    AccessHistory hist_;
+    AccessSplit acc_; // scratch
+    std::vector<EngineRace> races_;
 };
 
 } // namespace wmr::engines

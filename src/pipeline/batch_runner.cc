@@ -157,16 +157,7 @@ analyzeOneTrace(const std::string &path, const BatchOptions &opts,
     totals.reachQueries += as.finder.reachQueries;
 
     out.status = TraceRunStatus::Ok;
-    out.events = det.trace().events().size();
-    out.syncEvents = det.trace().numSyncEvents();
-    out.ops = det.trace().totalOps();
-    out.races = det.races().size();
-    out.dataRaces = det.numDataRaces();
-    out.partitions = det.partitions().partitions.size();
-    out.firstPartitions = det.partitions().firstPartitions.size();
-    out.reportedRaces = det.reportedRaces().size();
-    out.anyDataRace = det.anyDataRace();
-    out.wholeExecutionSc = det.scp().wholeExecutionSc;
+    fillFromDetection(det, out);
 }
 
 } // namespace
@@ -185,6 +176,21 @@ traceRunStatusName(TraceRunStatus status)
         return "skipped";
     }
     return "unknown";
+}
+
+void
+fillFromDetection(const DetectionResult &det, TraceRunResult &out)
+{
+    out.events = det.trace().events().size();
+    out.syncEvents = det.trace().numSyncEvents();
+    out.ops = det.trace().totalOps();
+    out.races = det.races().size();
+    out.dataRaces = det.numDataRaces();
+    out.partitions = det.partitions().partitions.size();
+    out.firstPartitions = det.partitions().firstPartitions.size();
+    out.reportedRaces = det.reportedRaces().size();
+    out.anyDataRace = det.anyDataRace();
+    out.wholeExecutionSc = det.scp().wholeExecutionSc;
 }
 
 void

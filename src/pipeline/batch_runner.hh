@@ -176,8 +176,15 @@ BatchResult runBatch(const CorpusScan &corpus,
                      const BatchOptions &opts = {});
 
 /**
+ * Fill @p out's summary counts (events through wholeExecutionSc) from
+ * a whole-trace analysis.  Shared with the serve subsystem so a
+ * served meta block equals a local batch's field for field.
+ */
+void fillFromDetection(const DetectionResult &det, TraceRunResult &out);
+
+/**
  * Fill @p out's summary counts from a detector-family run — the
- * `--engine` twin of the analyzeTrace() copy.  races/dataRaces come
+ * `--engine` twin of fillFromDetection().  races/dataRaces come
  * from the weakest chain engine that ran (the superset under the
  * containment chain, so "races" reads as "everything any selected
  * engine predicts"); the partition fields come from hb1 when it ran

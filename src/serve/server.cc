@@ -103,16 +103,7 @@ analyzeUpload(const std::vector<std::uint8_t> &bytes, bool salvage,
         analyzeTrace(std::move(loaded.trace), aopts);
 
     out.rr.status = TraceRunStatus::Ok;
-    out.rr.events = det.trace().events().size();
-    out.rr.syncEvents = det.trace().numSyncEvents();
-    out.rr.ops = det.trace().totalOps();
-    out.rr.races = det.races().size();
-    out.rr.dataRaces = det.numDataRaces();
-    out.rr.partitions = det.partitions().partitions.size();
-    out.rr.firstPartitions = det.partitions().firstPartitions.size();
-    out.rr.reportedRaces = det.reportedRaces().size();
-    out.rr.anyDataRace = det.anyDataRace();
-    out.rr.wholeExecutionSc = det.scp().wholeExecutionSc;
+    fillFromDetection(det, out.rr);
 
     out.report = provenance + formatReport(det);
     out.ok = true;

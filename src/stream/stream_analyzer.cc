@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <thread>
-#include <unordered_set>
 
 #include "common/logging.hh"
 #include "common/string_util.hh"
@@ -100,6 +99,8 @@ StreamAnalyzer::addSegment(const SegTailSegment &seg)
 void
 StreamAnalyzer::ingest(const SegFileEvent &fe)
 {
+    static obs::Counter eventsCtr = obs::counter("stream.events");
+    static obs::Counter racesCtr = obs::counter("stream.races");
     const std::uint64_t ord = nextOrdinal_++;
     const bool isSync = fe.kind == EventKind::Sync;
     syncByOrdinal_.push_back(isSync);
@@ -122,7 +123,7 @@ StreamAnalyzer::ingest(const SegFileEvent &fe)
     opsSeen_ += fe.opCount;
     if (isSync)
         ++syncEvents_;
-    obs::counter("stream.events").inc();
+    eventsCtr.inc();
 
     // The id frontier assumed no future key could undercut what it
     // already ranked; an op range landing below an assigned rank
@@ -207,106 +208,23 @@ StreamAnalyzer::ingest(const SegFileEvent &fe)
         }
     }
 
-    // Race detection against the resident history.  Every hb1 edge
-    // points forward in file order, so the only possible ordering is
-    // u hb1 e, answered by one epoch-vs-clock comparison.
-    std::unordered_map<std::uint64_t, std::size_t> racyIdx;
-    std::vector<std::pair<LiveEvent *, std::vector<Addr>>> racy;
-    std::unordered_set<std::uint64_t> orderedMemo;
-
-    const auto consider = [&](LiveEvent *u, Addr a) {
-        if (u->proc == e->proc)
-            return; // po-ordered for sure
-        const bool isData = u->kind == EventKind::Computation ||
-                            e->kind == EventKind::Computation;
-        if (!isData && !opts_.includeSyncSyncRaces)
-            return;
-        const auto it = racyIdx.find(u->ordinal);
-        if (it != racyIdx.end()) {
-            racy[it->second].second.push_back(a);
-            return;
-        }
-        if (orderedMemo.count(u->ordinal))
-            return;
-        if (e->clock.get(u->proc) >= u->epoch) {
-            orderedMemo.insert(u->ordinal);
-            return;
-        }
-        racyIdx.emplace(u->ordinal, racy.size());
-        racy.emplace_back(u, std::vector<Addr>{a});
-    };
-
-    const auto writerPass = [&](Addr a) {
-        const auto it = hist_.find(a);
-        if (it == hist_.end())
-            return;
-        for (LiveEvent *u : it->second.writers)
-            consider(u, a);
-        for (LiveEvent *u : it->second.readers)
-            consider(u, a);
-    };
-    const auto readerPass = [&](Addr a) {
-        const auto it = hist_.find(a);
-        if (it == hist_.end())
-            return;
-        for (LiveEvent *u : it->second.writers)
-            consider(u, a);
-    };
-
-    // readers lists hold events reading but not writing a word, the
-    // same asymmetry findRaces() indexes by.
-    std::vector<Addr> readsOnly;
-    if (!isSync) {
-        readsOnly.reserve(fe.readWords.size());
-        std::set_difference(fe.readWords.begin(), fe.readWords.end(),
-                            fe.writeWords.begin(),
-                            fe.writeWords.end(),
-                            std::back_inserter(readsOnly));
-    }
-
-    if (isSync) {
-        if (fe.syncOp.kind == OpKind::Write)
-            writerPass(fe.syncOp.addr);
-        else
-            readerPass(fe.syncOp.addr);
-    } else {
-        for (const Addr a : fe.writeWords)
-            writerPass(a);
-        for (const Addr a : readsOnly)
-            readerPass(a);
-    }
-
-    // Enter the history only after enumeration (no self-pairs).
-    if (isSync) {
-        auto &h = hist_[fe.syncOp.addr];
-        (fe.syncOp.kind == OpKind::Write ? h.writers : h.readers)
-            .push_back(e);
-        e->histAddrs.assign(1, fe.syncOp.addr);
-    } else {
-        for (const Addr a : fe.writeWords)
-            hist_[a].writers.push_back(e);
-        for (const Addr a : readsOnly)
-            hist_[a].readers.push_back(e);
-        // writeWords and readsOnly are disjoint by construction.
-        e->histAddrs.reserve(fe.writeWords.size() + readsOnly.size());
-        e->histAddrs.assign(fe.writeWords.begin(),
-                            fe.writeWords.end());
-        e->histAddrs.insert(e->histAddrs.end(), readsOnly.begin(),
-                            readsOnly.end());
-    }
-
-    for (auto &[u, addrs] : racy) {
-        StreamRace r;
-        r.ordA = u->ordinal;
-        r.ordB = ord;
-        r.addrs = std::move(addrs);
-        r.isData = u->kind == EventKind::Computation ||
-                   e->kind == EventKind::Computation;
-        races_.push_back(std::move(r));
-        u->racy = true;
+    // Race detection against the resident history (the forward test
+    // of hb/access_history.hh; history keys are file ordinals).  The
+    // event enters the history only afterwards (no self-pairs).
+    splitAccesses(fe.kind, fe.syncOp, fe.readWords, fe.writeWords,
+                  acc_);
+    for (AccessHistory::Partner &u : hist_.races(acc_, fe.proc,
+                                                 e->clock)) {
+        live_.at(u.key)->racy = true;
         e->racy = true;
-        obs::counter("stream.races").inc();
+        races_.push_back({u.key, ord, std::move(u.addrs)});
+        racesCtr.inc();
     }
+    hist_.record(acc_, ord, fe.proc, epoch);
+    e->histAddrs.reserve(acc_.writes.size() + acc_.reads.size());
+    e->histAddrs.assign(acc_.writes.begin(), acc_.writes.end());
+    e->histAddrs.insert(e->histAddrs.end(), acc_.reads.begin(),
+                        acc_.reads.end());
 
     idHeap_.push({fe.firstOp, ord});
     if (fe.lastOp != kNoOp)
@@ -377,15 +295,23 @@ StreamAnalyzer::gcWindow(bool final)
     if (!anyProc)
         return;
 
+    std::uint64_t lag = 0;
+    for (ProcId p = 0; p < np; ++p) {
+        if (procs_[p].epochs == 0)
+            continue;
+        lag = std::max<std::uint64_t>(lag, procs_[p].epochs - wm[p]);
+    }
+    watermarkLag_ = final ? 0 : lag;
+    if (final)
+        wm.assign(np, std::numeric_limits<std::uint64_t>::max());
+
     std::vector<std::uint64_t> toFree;
     std::vector<Addr> touched;
     bool anyRetired = false;
     for (ProcId p = 0; p < np; ++p) {
         ProcState &ps = procs_[p];
-        const std::uint64_t limit =
-            final ? std::numeric_limits<std::uint64_t>::max() : wm[p];
         while (!ps.window.empty() &&
-               ps.window.front()->epoch <= limit) {
+               ps.window.front()->epoch <= wm[p]) {
             LiveEvent *e = ps.window.front();
             ps.window.pop_front();
             e->retired = true;
@@ -400,43 +326,16 @@ StreamAnalyzer::gcWindow(bool final)
     }
 
     if (anyRetired) {
-        // Compact exactly the history lists the retiring events
-        // occupy — GC cost tracks retired work, not the address
-        // universe — then free (compaction still reads the retiring
-        // events through their pointers).
-        const auto prune = [](std::vector<LiveEvent *> &v) {
-            v.erase(std::remove_if(v.begin(), v.end(),
-                                   [](const LiveEvent *e) {
-                                       return e->retired;
-                                   }),
-                    v.end());
-        };
-        std::sort(touched.begin(), touched.end());
-        touched.erase(std::unique(touched.begin(), touched.end()),
-                      touched.end());
-        for (const Addr a : touched) {
-            const auto it = hist_.find(a);
-            if (it == hist_.end())
-                continue;
-            prune(it->second.writers);
-            prune(it->second.readers);
-            if (it->second.writers.empty() &&
-                it->second.readers.empty())
-                hist_.erase(it);
-        }
+        // The window held every unretired event, so the history
+        // entries at or under the limits are exactly the retiring
+        // events'.  Only the addresses they occupy are compacted: GC
+        // cost tracks retired work, not the address universe.
+        hist_.retire(std::move(touched), wm);
         for (const std::uint64_t ord : toFree)
             live_.erase(ord);
         ++windowsRetired_;
         obs::counter("stream.windows_retired").inc();
     }
-
-    std::uint64_t lag = 0;
-    for (ProcId p = 0; p < np; ++p) {
-        if (procs_[p].epochs == 0)
-            continue;
-        lag = std::max<std::uint64_t>(lag, procs_[p].epochs - wm[p]);
-    }
-    watermarkLag_ = final ? 0 : lag;
 }
 
 void
@@ -497,8 +396,10 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
     for (std::uint32_t i = 0; i < racy.size(); ++i)
         nodeOf.emplace(racy[i]->ordinal, i);
 
-    // Canonical race list: endpoints by final event id, addresses
-    // sorted/deduped, ordered by (a, b) — findRaces()'s contract.
+    // Canonical race list: endpoints by final event id, ordered by
+    // (a, b) — findRaces()'s contract (the race test already gave
+    // each race its words ascending).  Every race is a data race:
+    // the race test never pairs two sync events.
     struct FinalRace
     {
         EventId a = kNoEvent;
@@ -506,7 +407,6 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
         const LiveEvent *ea = nullptr;
         const LiveEvent *eb = nullptr;
         std::vector<Addr> addrs;
-        bool isData = true;
     };
     std::vector<FinalRace> finals;
     finals.reserve(races_.size());
@@ -524,11 +424,6 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
         fr.a = fr.ea->finalId;
         fr.b = fr.eb->finalId;
         fr.addrs = std::move(sr.addrs);
-        std::sort(fr.addrs.begin(), fr.addrs.end());
-        fr.addrs.erase(
-            std::unique(fr.addrs.begin(), fr.addrs.end()),
-            fr.addrs.end());
-        fr.isData = sr.isData;
         finals.push_back(std::move(fr));
     }
     std::sort(finals.begin(), finals.end(),
@@ -591,7 +486,6 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
         std::uint32_t comp = 0;
         std::uint32_t label = kNoEvent;
         std::vector<RaceId> races;
-        bool hasDataRace = false;
         bool first = false;
     };
     std::map<std::uint32_t, std::vector<RaceId>> byComp;
@@ -608,10 +502,8 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
         Part part;
         part.comp = comp;
         part.races = rs;
-        for (const RaceId r : rs) {
-            part.hasDataRace |= finals[r].isData;
+        for (const RaceId r : rs)
             part.label = std::min(part.label, finals[r].a);
-        }
         parts.push_back(std::move(part));
     }
     std::sort(parts.begin(), parts.end(),
@@ -619,21 +511,20 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
                   return x.label < y.label;
               });
 
-    // First-partition rule: a data-race partition is first iff no
-    // OTHER data-race partition reaches its component.  One pass in
-    // topological order (components are numbered in REVERSE
-    // topological order, so descending ids) propagates the set of
-    // data-race partitions reaching each component, capped at two
-    // distinct labels — enough to answer "does any label other than
-    // mine reach me" without an O(components²) reachability matrix.
+    // First-partition rule: a data-race partition (here: every
+    // partition) is first iff no OTHER partition reaches its
+    // component.  One pass in topological order (components are
+    // numbered in REVERSE topological order, so descending ids)
+    // propagates the set of partitions reaching each component,
+    // capped at two distinct labels — enough to answer "does any
+    // label other than mine reach me" without an O(components²)
+    // reachability matrix.
     const std::uint32_t nc = scc.numComponents;
     constexpr std::uint32_t kNoLabel =
         std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint32_t> ownLabel(nc, kNoLabel);
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (parts[i].hasDataRace)
-            ownLabel[parts[i].comp] = static_cast<std::uint32_t>(i);
-    }
+    for (std::size_t i = 0; i < parts.size(); ++i)
+        ownLabel[parts[i].comp] = static_cast<std::uint32_t>(i);
     std::vector<std::array<std::uint32_t, 2>> reachedBy(
         nc, {kNoLabel, kNoLabel});
     const auto mergeLabel = [&](std::array<std::uint32_t, 2> &dst,
@@ -656,8 +547,6 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
     std::vector<std::uint32_t> firstParts;
     for (std::size_t i = 0; i < parts.size(); ++i) {
         Part &pi = parts[i];
-        if (!pi.hasDataRace)
-            continue;
         const auto self = static_cast<std::uint32_t>(i);
         const auto &rb = reachedBy[pi.comp];
         pi.first = (rb[0] == kNoLabel || rb[0] == self) &&
@@ -688,13 +577,11 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
         out.writes = e->writes4;
         return out;
     };
-    std::size_t dataRaces = 0;
     for (const FinalRace &fr : finals) {
         ReportRaceModel rm;
         rm.a = info(fr.ea);
         rm.b = info(fr.eb);
         rm.addrs = fr.addrs;
-        rm.isDataRace = fr.isData;
         const Membership ma =
             membershipOf(fr.ea->firstOp, fr.ea->lastOp, scpEndOp);
         const Membership mb =
@@ -707,11 +594,10 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
                 rm.maybeInScp = true;
             }
         }
-        dataRaces += fr.isData;
         m.races.push_back(std::move(rm));
     }
-    m.numDataRaces = dataRaces;
-    m.anyDataRace = dataRaces > 0;
+    m.numDataRaces = finals.size();
+    m.anyDataRace = !finals.empty();
 
     std::uint64_t reportedRaces = 0;
     for (const Part &part : parts) {
@@ -731,7 +617,7 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
     res.syncEvents = syncEvents_;
     res.ops = totalOps;
     res.races = finals.size();
-    res.dataRaces = dataRaces;
+    res.dataRaces = finals.size();
     res.partitions = parts.size();
     res.firstPartitions = firstParts.size();
     res.reportedRaces = reportedRaces;

@@ -14,14 +14,17 @@
  *    snapshot (the so1 edge of Def. 2.2).  Because every hb1 edge
  *    points forward in file order, a new event can never precede an
  *    already-seen one, so the race test is one-directional: history
- *    entry (p, i) races a new event e iff C_e[p] < i.
+ *    entry (p, i) races a new event e iff C_e[p] < i.  The history
+ *    and the test are the ones the shb and wcp engines run
+ *    (hb/access_history.hh).
  *
  *  - A watermark GC retires fully-hb1-ordered prefixes: W[p] = the
  *    minimum of every live processor's clock component for p.  Once
  *    an event's epoch falls at or under the watermark, every future
  *    event is provably ordered after it — it can never race again
- *    and leaves the per-address history; its clock snapshot and word
- *    sets are freed.  Resident state is O(window), not O(trace).
+ *    and leaves the per-address history (AccessHistory::retire); its
+ *    clock snapshot and word sets are freed.  Resident state is
+ *    O(window), not O(trace).
  *
  *  - Event ids (the stable_sort-by-firstOp numbering of the
  *    whole-trace reader) are assigned by a frontier min-heap keyed
@@ -55,6 +58,7 @@
 #include <vector>
 
 #include "detect/report_model.hh"
+#include "hb/access_history.hh"
 #include "hb/vector_clock.hh"
 #include "trace/segmented_io.hh"
 
@@ -83,9 +87,6 @@ struct StreamOptions
      * semantics: recover what verified and account for the rest.
      */
     bool strict = true;
-
-    /** Must match RaceFinderOptions::includeSyncSyncRaces. */
-    bool includeSyncSyncRaces = false;
 
     /** Run the watermark GC every N ingested segments. */
     std::size_t windowSegments = 4;
@@ -201,8 +202,8 @@ class StreamAnalyzer
         std::vector<Addr> writes4;
 
         /** Addresses this event occupies in hist_, so retirement
-         *  prunes exactly those lists instead of sweeping the whole
-         *  map (freed at retirement). */
+         *  compacts exactly those instead of sweeping the whole
+         *  history (freed at retirement). */
         std::vector<Addr> histAddrs;
 
         VectorClock clock;
@@ -222,19 +223,12 @@ class StreamAnalyzer
         std::deque<LiveEvent *> window;
     };
 
-    struct AddrHistory
-    {
-        std::vector<LiveEvent *> writers;
-        std::vector<LiveEvent *> readers;
-    };
-
     /** One discovered race, by file ordinals (ids come later). */
     struct StreamRace
     {
         std::uint64_t ordA = 0; // the earlier (history) event
         std::uint64_t ordB = 0;
-        std::vector<Addr> addrs;
-        bool isData = true;
+        std::vector<Addr> addrs; // ascending
     };
 
     void ingest(const SegFileEvent &fe);
@@ -279,7 +273,10 @@ class StreamAnalyzer
     std::unordered_map<std::uint64_t, std::unique_ptr<LiveEvent>>
         live_;
     std::vector<ProcState> procs_;
-    std::unordered_map<Addr, AddrHistory> hist_;
+
+    /** Accesses of the unretired events, keyed by file ordinal. */
+    AccessHistory hist_;
+    AccessSplit acc_; // scratch
 
     /** Id frontier: min-heap of (firstOp, ordinal). */
     std::priority_queue<std::pair<OpId, std::uint64_t>,

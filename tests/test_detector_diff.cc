@@ -325,12 +325,33 @@ TEST(DetectorDiff, ShbMatchesReachabilityPipeline)
     // Independent-implementation cross-validation: the shb clock
     // engine's race set must equal findRaces() over the
     // reachability index — different algorithm, same answer.
+    std::vector<SyntheticTraceOptions> shapes;
     for (std::uint64_t seed = 50; seed < 58; ++seed) {
         SyntheticTraceOptions opts;
         opts.procs = 3;
         opts.eventsPerProc = 50;
         opts.hotFraction = 0.6;
         opts.seed = seed;
+        shapes.push_back(opts);
+    }
+    // Sync and data accesses share all 8 words, so data events meet
+    // earlier sync accesses of their words and sync events earlier
+    // data accesses (~15k races per seed).
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SyntheticTraceOptions opts;
+        opts.procs = 4;
+        opts.eventsPerProc = 400;
+        opts.memWords = 8;
+        opts.syncWords = 8;
+        opts.syncFraction = 0.6;
+        opts.hotFraction = 0.0;
+        opts.seed = seed;
+        shapes.push_back(opts);
+    }
+    for (const SyntheticTraceOptions &opts : shapes) {
+        const std::string what = "words " +
+                                 std::to_string(opts.memWords) +
+                                 " seed " + std::to_string(opts.seed);
         const ExecutionTrace trace = makeSyntheticTrace(opts);
         const engines::EngineFamilyResult fam = runChain(trace);
         const engines::EngineVerdict *shb = fam.verdict("shb");
@@ -338,11 +359,11 @@ TEST(DetectorDiff, ShbMatchesReachabilityPipeline)
 
         const DetectionResult det = analyzeTrace(trace);
         const auto &want = det.races();
-        ASSERT_EQ(shb->races.size(), want.size()) << seed;
+        ASSERT_EQ(shb->races.size(), want.size()) << what;
         for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(shb->races[i].a, want[i].a) << seed;
-            EXPECT_EQ(shb->races[i].b, want[i].b) << seed;
-            EXPECT_EQ(shb->races[i].addrs, want[i].addrs) << seed;
+            EXPECT_EQ(shb->races[i].a, want[i].a) << what;
+            EXPECT_EQ(shb->races[i].b, want[i].b) << what;
+            EXPECT_EQ(shb->races[i].addrs, want[i].addrs) << what;
         }
     }
 }

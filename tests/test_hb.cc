@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests of the hb layer: SCC decomposition, the hb1 graph, the
- * reachability index (including cyclic graphs), and vector clocks.
+ * reachability index (including cyclic graphs), vector clocks, and
+ * the forward race test of the access history.
  */
 
 #include <gtest/gtest.h>
 
+#include "hb/access_history.hh"
 #include "hb/hb_graph.hh"
 #include "hb/reachability.hh"
 #include "hb/scc.hh"
@@ -267,6 +269,157 @@ TEST(VectorClock, Str)
     c.set(0, 3);
     c.set(2, 7);
     EXPECT_EQ(c.str(), "<3,0,7>");
+}
+
+AccessSplit
+syncAccess(OpKind kind, Addr addr)
+{
+    Event ev;
+    ev.kind = EventKind::Sync;
+    ev.syncOp.kind = kind;
+    ev.syncOp.addr = addr;
+    AccessSplit out;
+    splitAccesses(ev, out);
+    return out;
+}
+
+AccessSplit
+dataAccess(std::vector<Addr> reads, std::vector<Addr> writes)
+{
+    Event ev;
+    ev.readSet = std::move(reads);
+    ev.writeSet = std::move(writes);
+    AccessSplit out;
+    splitAccesses(ev, out);
+    return out;
+}
+
+/** The keys of race(), in the order it returned them. */
+std::vector<std::uint64_t>
+raceKeys(AccessHistory &h, const AccessSplit &acc, ProcId proc,
+         const VectorClock &clock)
+{
+    std::vector<std::uint64_t> keys;
+    for (const AccessHistory::Partner &u : h.races(acc, proc, clock))
+        keys.push_back(u.key);
+    return keys;
+}
+
+TEST(AccessHistory, SplitKeepsReadsThatAreNotWrites)
+{
+    const AccessSplit d = dataAccess({1, 2, 3}, {2, 5});
+    EXPECT_FALSE(d.sync);
+    EXPECT_EQ(d.writes, (std::vector<Addr>{2, 5}));
+    EXPECT_EQ(d.reads, (std::vector<Addr>{1, 3}));
+
+    const AccessSplit rel = syncAccess(OpKind::Write, 4);
+    EXPECT_TRUE(rel.sync);
+    EXPECT_EQ(rel.writes, (std::vector<Addr>{4}));
+    EXPECT_TRUE(rel.reads.empty());
+
+    const AccessSplit acq = syncAccess(OpKind::Read, 4);
+    EXPECT_TRUE(acq.writes.empty());
+    EXPECT_EQ(acq.reads, (std::vector<Addr>{4}));
+}
+
+TEST(AccessHistory, SyncSyncNeverRaces)
+{
+    AccessHistory h;
+    h.record(syncAccess(OpKind::Write, 0), 1, 0, 1);
+    h.record(syncAccess(OpKind::Read, 0), 2, 1, 1);
+    const VectorClock zero(3);
+    EXPECT_TRUE(
+        raceKeys(h, syncAccess(OpKind::Write, 0), 2, zero).empty());
+    EXPECT_TRUE(
+        raceKeys(h, syncAccess(OpKind::Read, 0), 2, zero).empty());
+}
+
+TEST(AccessHistory, SyncAndDataAccessesOfOneWordRace)
+{
+    const VectorClock zero(2);
+    {
+        // A sync write, then a data read of its word.
+        AccessHistory h;
+        h.record(syncAccess(OpKind::Write, 3), 7, 0, 1);
+        const auto got = h.races(dataAccess({3}, {}), 1, zero);
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0].key, 7u);
+        EXPECT_EQ(got[0].addrs, (std::vector<Addr>{3}));
+    }
+    {
+        // A data write, then a sync read of its word.
+        AccessHistory h;
+        h.record(dataAccess({}, {3}), 7, 0, 1);
+        EXPECT_EQ(raceKeys(h, syncAccess(OpKind::Read, 3), 1, zero),
+                  (std::vector<std::uint64_t>{7}));
+    }
+    {
+        // Two reads never conflict, whatever their kinds.
+        AccessHistory h;
+        h.record(syncAccess(OpKind::Read, 3), 7, 0, 1);
+        EXPECT_TRUE(raceKeys(h, dataAccess({3}, {}), 1, zero).empty());
+    }
+}
+
+TEST(AccessHistory, SameProcessorAndOrderedAccessesNeverRace)
+{
+    AccessHistory h;
+    h.record(dataAccess({}, {0}), 1, 0, 1);
+    h.record(dataAccess({}, {0}), 2, 1, 4);
+
+    VectorClock c(2);
+    // Processor 0 again: po-ordered after its own access.
+    EXPECT_EQ(raceKeys(h, dataAccess({}, {0}), 0, c),
+              (std::vector<std::uint64_t>{2}));
+    // The clock covers processor 1 up to epoch 4: ordered.
+    c.set(1, 4);
+    EXPECT_TRUE(raceKeys(h, dataAccess({}, {0}), 0, c).empty());
+    // ... up to epoch 3 only: a race.
+    c.set(1, 3);
+    EXPECT_EQ(raceKeys(h, dataAccess({0}, {}), 0, c),
+              (std::vector<std::uint64_t>{2}));
+}
+
+TEST(AccessHistory, PartnersComeBackGroupedByKey)
+{
+    AccessHistory h;
+    h.record(dataAccess({}, {5, 9}), 30, 0, 1);
+    h.record(dataAccess({2}, {}), 10, 1, 1);
+    h.record(dataAccess({9}, {2}), 20, 1, 2);
+    h.record(syncAccess(OpKind::Write, 7), 40, 1, 3);
+
+    const auto got =
+        h.races(dataAccess({}, {2, 5, 7, 9}), 2, VectorClock(3));
+    ASSERT_EQ(got.size(), 4u);
+    EXPECT_EQ(got[0].key, 10u);
+    EXPECT_EQ(got[0].addrs, (std::vector<Addr>{2}));
+    EXPECT_EQ(got[1].key, 20u);
+    EXPECT_EQ(got[1].addrs, (std::vector<Addr>{2, 9}));
+    EXPECT_EQ(got[2].key, 30u);
+    EXPECT_EQ(got[2].addrs, (std::vector<Addr>{5, 9}));
+    EXPECT_EQ(got[3].key, 40u);
+    EXPECT_EQ(got[3].addrs, (std::vector<Addr>{7}));
+}
+
+TEST(AccessHistory, RetireDropsExactlyEntriesUnderTheLimit)
+{
+    AccessHistory h;
+    for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+        h.record(dataAccess({}, {5}), 10 + epoch, 0, epoch);
+        h.record(dataAccess({5}, {}), 20 + epoch, 1, epoch);
+    }
+    h.record(syncAccess(OpKind::Write, 6), 31, 2, 1);
+
+    // Word 6 is not named: its entry stays whatever the limit.
+    h.retire({5, 5}, {2, 1, 9});
+    const VectorClock zero(4);
+    EXPECT_EQ(raceKeys(h, dataAccess({}, {5, 6}), 3, zero),
+              (std::vector<std::uint64_t>{13, 22, 23, 31}));
+
+    // A processor past the end of the limits keeps its entries.
+    h.retire({5, 6}, {9});
+    EXPECT_EQ(raceKeys(h, dataAccess({}, {5, 6}), 3, zero),
+              (std::vector<std::uint64_t>{22, 23, 31}));
 }
 
 } // namespace

@@ -51,8 +51,8 @@
 
 #include "detect/analysis.hh"
 #include "detect/robustness.hh"
-#include "engines/clock_hist.hh"
 #include "engines/family.hh"
+#include "hb/access_history.hh"
 #include "hb/hb_graph.hh"
 #include "hb/reachability.hh"
 #include "sim/executor.hh"
@@ -382,7 +382,7 @@ bruteWcpRaces(const TraceUnderTest &t)
     std::unordered_map<ProcId, PerProc> procs;
     std::unordered_map<EventId, Footprint> relSnap;
 
-    std::vector<Addr> writes, reads;
+    AccessSplit split;
     for (EventId id = 0; id < n; ++id) {
         const Event &ev = events[id];
         PerProc &ps = procs[ev.proc];
@@ -390,7 +390,9 @@ bruteWcpRaces(const TraceUnderTest &t)
             adj[ps.last].push_back(id);
         ps.last = id;
 
-        engines::detail::eventAccesses(ev, writes, reads);
+        splitAccesses(ev, split);
+        const std::vector<Addr> &writes = split.writes;
+        const std::vector<Addr> &reads = split.reads;
         const bool isSync = ev.kind == EventKind::Sync;
 
         if (!isSync && ps.pending) {

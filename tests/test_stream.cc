@@ -5,9 +5,10 @@
  *  - StreamGolden.*: every committed golden-corpus trace, streamed,
  *    renders the byte-identical provenance + report the whole-trace
  *    pipeline prints for the same segmented bytes;
- *  - StreamDifferential.*: seeded synthetics — race-free, sparse and
- *    densely racy — at window sizes {1, 4, 64}, plus truncated /
- *    salvaged inputs and strict-error identity;
+ *  - StreamDifferential.*: seeded synthetics — race-free, sparse,
+ *    densely racy, and sync and data accesses sharing their words —
+ *    at window sizes {1, 4, 64}, plus truncated / salvaged inputs
+ *    and strict-error identity;
  *  - StreamScale.*: a 1,000,000-event synthetic streams with a flat
  *    resident line and identical output at every window size;
  *  - StreamGc.*: watermark retirement actually bounds resident state
@@ -215,6 +216,27 @@ TEST(StreamDifferential, SparseSyntheticAcrossWindows)
     const auto bytes =
         serializeSegmentedTrace(makeSyntheticTrace(sparseOptions()));
     expectEquivalentAcrossWindows(bytes, {1u, 4u, 64u}, "sparse");
+}
+
+TEST(StreamDifferential, MixedSyncDataWordsAcrossWindows)
+{
+    // Sync and data accesses share all 8 words: the race test pairs
+    // data events with earlier sync accesses and the reverse
+    // (~15k races per seed).
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SyntheticTraceOptions o;
+        o.procs = 4;
+        o.eventsPerProc = 400;
+        o.memWords = 8;
+        o.syncWords = 8;
+        o.syncFraction = 0.6;
+        o.hotFraction = 0.0;
+        o.seed = seed;
+        const auto bytes =
+            serializeSegmentedTrace(makeSyntheticTrace(o));
+        expectEquivalentAcrossWindows(
+            bytes, {1u, 4u, 64u}, "mixed s" + std::to_string(seed));
+    }
 }
 
 TEST(StreamDifferential, DenseRacySynthetic)

@@ -28,13 +28,13 @@
 namespace wmr::cli {
 
 /**
- * Synthesize the SHB verdict block from a finished streaming
- * analysis.  SHB's race set equals the full hb1-unordered set — the
- * exact set the streaming engine enumerates — so `check --stream
- * --engine shb` prints byte-identically to the whole-trace
- * `check --engine shb` on the same file.  wcp (lock-region history)
- * and hb1 (partition structure) need whole-trace state the
- * bounded-memory window retires, so they stay whole-trace-only.
+ * The SHB verdict block of a finished streaming analysis.  SHB's race
+ * set equals the full hb1-unordered set — the exact set the
+ * streaming engine enumerates — so `check --stream --engine shb`
+ * prints byte-identically to the whole-trace `check --engine shb` on
+ * the same file.  wcp (lock-region history) and hb1 (partition
+ * structure) need whole-trace state the bounded-memory window
+ * retires, so they stay whole-trace-only.
  */
 static engines::EngineFamilyResult
 shbFamilyFromStream(const StreamResult &sr)
@@ -45,28 +45,12 @@ shbFamilyFromStream(const StreamResult &sr)
         static_cast<std::uint32_t>(sr.syncEvents);
     fam.info.totalOps = sr.ops;
 
-    engines::EngineVerdict v;
-    v.engine = "shb";
-    v.semantics = engines::ShbEngine::semanticsLine();
-    v.races.reserve(sr.report.races.size());
-    for (const ReportRaceModel &r : sr.report.races) {
-        engines::EngineRace er;
-        er.a = r.a.id;
-        er.b = r.b.id;
-        er.addrs = r.addrs;
-        er.isDataRace = r.isDataRace;
-        v.races.push_back(std::move(er));
-    }
-    for (std::uint32_t i = 0; i < v.races.size(); ++i) {
-        if (v.races[i].isDataRace)
-            ++v.numDataRaces;
-        v.reported.push_back(i);
-    }
-    v.anyDataRace = v.numDataRaces != 0;
-    v.firstRacePerVar = engines::firstRacePerVariable(v.races);
-
-    fam.anyDataRace = v.anyDataRace;
-    fam.verdicts.push_back(std::move(v));
+    std::vector<engines::EngineRace> races;
+    races.reserve(sr.report.races.size());
+    for (const ReportRaceModel &r : sr.report.races)
+        races.push_back({r.a.id, r.b.id, r.addrs, r.isDataRace});
+    fam.verdicts.push_back(engines::shbVerdict(std::move(races)));
+    fam.anyDataRace = fam.verdicts.back().anyDataRace;
     return fam;
 }
 
