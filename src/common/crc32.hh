@@ -8,7 +8,10 @@
  * over several buffers without concatenating them — the spill writer
  * checksums its fixed header and its growing payload separately, and
  * the crash-flush path (a fatal-signal handler) needs a computation
- * that allocates nothing: the lookup table is built at compile time.
+ * that allocates nothing: the lookup tables are built at compile
+ * time.  Every WMRSEG01 frame, the serve disk tier and
+ * contentHash64() go through it, so it folds eight bytes a step
+ * (slicing-by-8); the values are those of the bytewise algorithm.
  */
 
 #ifndef WMR_COMMON_CRC32_HH

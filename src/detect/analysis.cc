@@ -128,11 +128,9 @@ formatAnalysisStats(const AnalysisStats &s)
        << (s.hbReach.parallelClocks ? "parallel, " : "serial, ")
        << s.hbReach.levels << " levels)\n";
     stage("race finding       ", s.raceFindSeconds);
-    os << "    shards " << s.finder.shards << ", addrs "
+    os << "    shards " << s.finder.shards << ", words "
        << s.finder.indexedAddrs << ", candidates "
-       << s.finder.candidatePairs << ", memo hits "
-       << s.finder.memoHits << ", oracle queries "
-       << s.finder.reachQueries << ", ordered "
+       << s.finder.candidatePairs << " (one oracle query each), ordered "
        << s.finder.orderedPairs << "\n";
     stage("augment (G')       ", s.augmentSeconds);
     os << "    scc              " << s.augReach.sccSeconds << " s, clocks "

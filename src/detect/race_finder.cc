@@ -1,9 +1,8 @@
 #include "detect/race_finder.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <compare>
 
-#include "common/logging.hh"
 #include "common/worker_pool.hh"
 #include "hb/access_history.hh"
 
@@ -11,134 +10,169 @@ namespace wmr {
 
 namespace {
 
-/** Per-address accessor lists. */
-struct AddrAccess
+/**
+ * The class of one (event, word) access.  The index sorts by word,
+ * then class, so each word's accesses form four consecutive runs in
+ * this order.
+ */
+enum AccessClass : unsigned
 {
-    std::vector<EventId> writers;
-    std::vector<EventId> readers; ///< events reading but not writing
+    kDataWrite,
+    kDataRead,
+    kSyncWrite,
+    kSyncRead,
+    kClasses
+};
+
+/** One access of the index. */
+struct Access
+{
+    std::uint64_t key; ///< word << 2 | class
+    EventId ev;
+    ProcId proc;
+
+    Addr word() const { return static_cast<Addr>(key >> 2); }
 };
 
 std::uint64_t
-pairKey(EventId a, EventId b)
+accessKey(Addr word, unsigned cls)
 {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
+    return static_cast<std::uint64_t>(word) << 2 | cls;
 }
 
-/** pairIndex value marking a pair the oracle proved hb1-ordered. */
-constexpr std::uint32_t kOrderedPair = UINT32_MAX;
-
-/**
- * One shard's enumeration state: a dedupe/memo table over the pairs
- * this shard has seen, the races it found, and its work counters.
- * Shards never share state, so workers need no locking.
- */
-struct ShardState
+/** The class runs of the word whose first access is index[first]:
+ *  class c spans [at[c], at[c + 1]). */
+struct WordRuns
 {
-    std::unordered_map<std::uint64_t, std::uint32_t> pairIndex;
-    std::vector<DataRace> races;
+    std::size_t at[kClasses + 1];
+
+    WordRuns(const std::vector<Access> &index, std::size_t first)
+    {
+        const Addr word = index[first].word();
+        std::size_t i = first;
+        at[0] = i;
+        for (unsigned c = 0; c < kClasses; ++c) {
+            while (i < index.size() && index[i].key == accessKey(word, c))
+                ++i;
+            at[c + 1] = i;
+        }
+    }
+
+    std::uint64_t size(unsigned c) const { return at[c + 1] - at[c]; }
+
+    /** Pairs the walk steps on this word, same-processor ones
+     *  included. */
+    std::uint64_t
+    pairs(bool syncSync) const
+    {
+        const std::uint64_t dw = size(kDataWrite);
+        const std::uint64_t sw = size(kSyncWrite);
+        std::uint64_t n = dw * (dw - 1) / 2 +
+                          dw * (size(kDataRead) + sw + size(kSyncRead)) +
+                          sw * size(kDataRead);
+        if (syncSync)
+            n += sw * (sw - 1) / 2 + sw * size(kSyncRead);
+        return n;
+    }
+};
+
+/** A racing pair on one word: pair = a << 32 | b with a < b. */
+struct Hit
+{
+    std::uint64_t pair;
+    Addr word;
+
+    auto operator<=>(const Hit &) const = default;
+};
+
+/** One shard's racing hits and work counters; shards share nothing,
+ *  so workers need no locking. */
+struct Shard
+{
+    std::vector<Hit> hits;
     RaceFinderStats stats;
 };
 
-/**
- * Enumerate the candidate pairs of addresses [first, last) into
- * @p shard.  The same pair may be enumerated by several shards (when
- * it conflicts on addresses in different ranges); the merge unions
- * their address lists.
- */
+/** Walk the words of index[first, last), a range of whole words. */
 void
-runShard(const std::vector<AddrAccess> &byAddr, Addr first, Addr last,
-         const ExecutionTrace &trace, const ReachabilityIndex &reach,
-         const RaceFinderOptions &opts, ShardState &shard)
+walkWords(const std::vector<Access> &index, std::size_t first,
+          std::size_t last, const ReachabilityIndex &reach,
+          bool syncSync, Shard &shard)
 {
-    const auto &events = trace.events();
-
-    const auto consider = [&](EventId x, EventId y, Addr addr) {
-        if (x == y)
-            return;
-        const Event &ex = events[x];
-        const Event &ey = events[y];
-        if (ex.proc == ey.proc)
+    Addr word = 0;
+    const auto consider = [&](const Access &x, const Access &y) {
+        if (x.proc == y.proc)
             return; // po-ordered for sure
-        const bool isData = ex.kind == EventKind::Computation ||
-                            ey.kind == EventKind::Computation;
-        if (!isData && !opts.includeSyncSyncRaces)
-            return;
         ++shard.stats.candidatePairs;
-        const EventId lo = std::min(x, y);
-        const EventId hi = std::max(x, y);
-        const std::uint64_t key = pairKey(lo, hi);
-        const auto it = shard.pairIndex.find(key);
-        if (it != shard.pairIndex.end()) {
-            ++shard.stats.memoHits;
-            if (it->second != kOrderedPair)
-                shard.races[it->second].addrs.push_back(addr);
-            return;
-        }
-        ++shard.stats.reachQueries;
+        const EventId lo = std::min(x.ev, y.ev);
+        const EventId hi = std::max(x.ev, y.ev);
         if (reach.ordered(lo, hi)) {
-            // Memoize the verdict: an ordered pair conflicting on
-            // many addresses must not re-run the oracle per address.
-            shard.pairIndex.emplace(key, kOrderedPair);
             ++shard.stats.orderedPairs;
             return;
         }
-        DataRace r;
-        r.a = lo;
-        r.b = hi;
-        r.addrs.push_back(addr);
-        r.isDataRace = isData;
-        wmr_assert(shard.races.size() < kOrderedPair);
-        shard.pairIndex.emplace(
-            key, static_cast<std::uint32_t>(shard.races.size()));
-        shard.races.push_back(std::move(r));
+        shard.hits.push_back(
+            {static_cast<std::uint64_t>(lo) << 32 | hi, word});
+    };
+    // Every pair of class run i with a later access of run j.
+    const auto pairRuns = [&](const WordRuns &r, unsigned i,
+                              unsigned j) {
+        for (std::size_t x = r.at[i]; x < r.at[i + 1]; ++x) {
+            for (std::size_t y = i == j ? x + 1 : r.at[j];
+                 y < r.at[j + 1]; ++y)
+                consider(index[x], index[y]);
+        }
     };
 
-    for (Addr a = first; a < last; ++a) {
-        const auto &acc = byAddr[a];
-        if (!acc.writers.empty())
+    for (std::size_t w = first; w < last;) {
+        const WordRuns r(index, w);
+        word = index[w].word();
+        if (r.size(kDataWrite) + r.size(kSyncWrite) != 0)
             ++shard.stats.indexedAddrs;
-        for (std::size_t i = 0; i < acc.writers.size(); ++i) {
-            for (std::size_t j = i + 1; j < acc.writers.size(); ++j)
-                consider(acc.writers[i], acc.writers[j], a);
-            for (const EventId r : acc.readers)
-                consider(acc.writers[i], r, a);
+        for (unsigned c = kDataWrite; c < kClasses; ++c)
+            pairRuns(r, kDataWrite, c);
+        pairRuns(r, kSyncWrite, kDataRead);
+        if (syncSync) {
+            pairRuns(r, kSyncWrite, kSyncWrite);
+            pairRuns(r, kSyncWrite, kSyncRead);
         }
+        w = r.at[kClasses];
     }
 }
 
 /**
- * Cut the address range into @p shards contiguous ranges of roughly
- * equal candidate-pair cost.  The split depends only on the accessor
- * lists, never on thread scheduling.
+ * Cut the index into at most @p shards ranges of whole words with
+ * about equal numbers of walked pairs.  The cuts depend only on the
+ * index, never on thread scheduling.
  */
-std::vector<Addr>
-shardBoundaries(const std::vector<AddrAccess> &byAddr,
-                unsigned shards)
+std::vector<std::size_t>
+shardCuts(const std::vector<Access> &index, unsigned shards,
+          bool syncSync)
 {
-    std::vector<double> cost(byAddr.size());
+    if (shards <= 1)
+        return {0, index.size()};
     double total = 0;
-    for (std::size_t a = 0; a < byAddr.size(); ++a) {
-        const double w = static_cast<double>(byAddr[a].writers.size());
-        const double r = static_cast<double>(byAddr[a].readers.size());
-        cost[a] = w * (w - 1) / 2 + w * r;
-        total += cost[a];
+    std::size_t words = 0;
+    for (std::size_t w = 0; w < index.size(); ++words) {
+        const WordRuns r(index, w);
+        total += static_cast<double>(r.pairs(syncSync));
+        w = r.at[kClasses];
     }
+    shards = static_cast<unsigned>(
+        std::clamp<std::size_t>(words, 1, shards));
 
-    std::vector<Addr> bounds;
-    bounds.push_back(0);
+    std::vector<std::size_t> cuts{0};
     double acc = 0;
-    for (std::size_t a = 0;
-         a < byAddr.size() && bounds.size() < shards; ++a) {
-        acc += cost[a];
-        if (acc >= total * static_cast<double>(bounds.size()) /
-                       shards) {
-            bounds.push_back(static_cast<Addr>(a + 1));
-        }
+    for (std::size_t w = 0; w < index.size() && cuts.size() < shards;) {
+        const WordRuns r(index, w);
+        acc += static_cast<double>(r.pairs(syncSync));
+        w = r.at[kClasses];
+        if (acc >= total * static_cast<double>(cuts.size()) / shards)
+            cuts.push_back(w);
     }
-    // Pad when the cost mass ran out early: trailing empty ranges.
-    while (bounds.size() < static_cast<std::size_t>(shards) + 1)
-        bounds.push_back(static_cast<Addr>(byAddr.size()));
-    return bounds;
+    // Pad when the pair mass ran out early: trailing empty ranges.
+    while (cuts.size() < static_cast<std::size_t>(shards) + 1)
+        cuts.push_back(index.size());
+    return cuts;
 }
 
 } // namespace
@@ -150,82 +184,79 @@ findRaces(const ExecutionTrace &trace, const ReachabilityIndex &reach,
 {
     const auto &events = trace.events();
 
-    // Index events by accessed address.
-    std::vector<AddrAccess> byAddr(trace.memWords());
-    const auto cover = [&](Addr a) -> AddrAccess & {
-        if (a >= byAddr.size())
-            byAddr.resize(a + 1);
-        return byAddr[a];
-    };
-
-    // The access split the single-pass detectors share: an event
-    // both reading and writing a word sits in writers only.
+    // The index: every (word, class, event) access of the access
+    // split the single-pass detectors share, sorted once.
+    std::size_t bound = 0;
+    for (const auto &ev : events)
+        bound += ev.kind == EventKind::Sync
+                     ? 1
+                     : ev.readSet.size() + ev.writeSet.size();
+    std::vector<Access> index;
+    index.reserve(bound);
     AccessSplit split;
     for (const auto &ev : events) {
         splitAccesses(ev, split);
+        const unsigned writeCls = split.sync ? kSyncWrite : kDataWrite;
         for (const Addr a : split.writes)
-            cover(a).writers.push_back(ev.id);
+            index.push_back({accessKey(a, writeCls), ev.id, ev.proc});
         for (const Addr a : split.reads)
-            cover(a).readers.push_back(ev.id);
+            index.push_back({accessKey(a, writeCls + 1), ev.id, ev.proc});
     }
+    std::sort(index.begin(), index.end(),
+              [](const Access &x, const Access &y) {
+                  return x.key < y.key;
+              });
 
-    // Shard the address range and enumerate candidates; shard 0 only
-    // (== the serial path) needs no worker threads at all.
-    const unsigned shards = std::max<unsigned>(
-        1, std::min<std::size_t>(resolveThreads(threads),
-                                 byAddr.size()));
-    std::vector<ShardState> shardStates(shards);
+    // Walk the word ranges; one range (the serial path) needs no
+    // worker threads at all.
+    const bool syncSync = opts.includeSyncSyncRaces;
+    const auto cuts = shardCuts(index, resolveThreads(threads), syncSync);
+    const auto shards = static_cast<unsigned>(cuts.size() - 1);
+    std::vector<Shard> shardStates(shards);
     if (shards == 1) {
-        runShard(byAddr, 0, static_cast<Addr>(byAddr.size()), trace,
-                 reach, opts, shardStates[0]);
+        walkWords(index, cuts[0], cuts[1], reach, syncSync,
+                  shardStates[0]);
     } else {
-        const auto bounds = shardBoundaries(byAddr, shards);
         WorkerPool pool(shards, [&](unsigned s) {
-            runShard(byAddr, bounds[s], bounds[s + 1], trace, reach,
-                     opts, shardStates[s]);
+            walkWords(index, cuts[s], cuts[s + 1], reach, syncSync,
+                      shardStates[s]);
         });
         pool.join();
     }
 
-    // Deterministic merge: a pair that conflicts on addresses in
-    // several shards was enumerated (and oracle-checked) by each of
-    // them; union the address lists under the first occurrence.
-    std::vector<DataRace> races;
-    std::unordered_map<std::uint64_t, std::size_t> merged;
-    for (auto &shard : shardStates) {
-        for (auto &r : shard.races) {
-            const std::uint64_t key = pairKey(r.a, r.b);
-            const auto it = merged.find(key);
-            if (it == merged.end()) {
-                merged.emplace(key, races.size());
-                races.push_back(std::move(r));
-            } else {
-                auto &dst = races[it->second].addrs;
-                dst.insert(dst.end(), r.addrs.begin(),
-                           r.addrs.end());
-            }
-        }
-        if (stats) {
-            stats->indexedAddrs += shard.stats.indexedAddrs;
-            stats->candidatePairs += shard.stats.candidatePairs;
-            stats->memoHits += shard.stats.memoHits;
-            stats->reachQueries += shard.stats.reachQueries;
-            stats->orderedPairs += shard.stats.orderedPairs;
-        }
+    // One sort of every shard's hits gives the canonical races:
+    // ascending by (a, b), each listing its words ascending.  An
+    // event holds one class per word, so no hit repeats.
+    std::vector<Hit> hits = std::move(shardStates[0].hits);
+    for (unsigned s = 1; s < shards; ++s) {
+        hits.insert(hits.end(), shardStates[s].hits.begin(),
+                    shardStates[s].hits.end());
     }
-    if (stats)
-        stats->shards = shards;
+    std::sort(hits.begin(), hits.end());
 
-    // Canonical output, independent of sharding: sort by (a, b) and
-    // sort/dedupe each address list.
-    std::sort(races.begin(), races.end(),
-              [](const DataRace &x, const DataRace &y) {
-                  return x.a != y.a ? x.a < y.a : x.b < y.b;
-              });
-    for (auto &r : races) {
-        std::sort(r.addrs.begin(), r.addrs.end());
-        r.addrs.erase(std::unique(r.addrs.begin(), r.addrs.end()),
-                      r.addrs.end());
+    std::vector<DataRace> races;
+    for (const Hit &h : hits) {
+        const auto a = static_cast<EventId>(h.pair >> 32);
+        const auto b = static_cast<EventId>(h.pair);
+        if (races.empty() || races.back().a != a || races.back().b != b) {
+            DataRace r;
+            r.a = a;
+            r.b = b;
+            r.isDataRace = events[a].kind == EventKind::Computation ||
+                           events[b].kind == EventKind::Computation;
+            races.push_back(std::move(r));
+        }
+        races.back().addrs.push_back(h.word);
+    }
+
+    if (stats) {
+        for (const Shard &s : shardStates) {
+            stats->indexedAddrs += s.stats.indexedAddrs;
+            stats->candidatePairs += s.stats.candidatePairs;
+            stats->reachQueries += s.stats.candidatePairs;
+            stats->orderedPairs += s.stats.orderedPairs;
+        }
+        stats->shards = shards;
     }
     return races;
 }

@@ -2,19 +2,24 @@
  * @file
  * Enumeration of the races of a traced execution.
  *
- * Candidate pairs are generated per address (only events whose
- * READ/WRITE sets or sync operation touch a common word can race),
- * filtered by processor (same-processor events are always po-ordered)
- * and then by the hb1 reachability oracle.
+ * Two events can race only on a word both access, so the finder
+ * indexes every (word, class, event) access once and sorts the index
+ * by word and class.  The class comes from the access split the
+ * single-pass detectors share (hb/access_history.hh): data write,
+ * data read, sync write or sync read.  Per word the walk pairs data
+ * writes with every other access and sync writes with data reads;
+ * sync writes meet the other sync accesses only when sync-sync
+ * general races are asked for, since such a pair is never a data
+ * race (Def. 2.4).  Pairs of one processor are po-ordered and
+ * skipped; every other candidate asks the hb1 reachability oracle, an
+ * O(P) clock comparison.  The index holds only the words the events
+ * access, never the trace's declared universe.
  *
- * The enumeration can run on multiple threads: the per-address
- * accessor lists are sharded into contiguous, cost-balanced address
- * ranges, each shard enumerates its candidates with a thread-local
- * pair-dedupe table (which also memoizes hb1-ORDERED pairs, so a pair
- * conflicting on many addresses consults the reachability oracle
- * once, not once per address), and the shard outputs are merged and
- * canonicalized (sort by event pair, sorted/deduped address lists) —
- * making the result byte-identical at every thread count.
+ * The walk can run on several threads: the index is cut at word
+ * boundaries into ranges with about equal numbers of walked pairs,
+ * each shard lists its racing (pair, word) hits, and one sort of all
+ * hits yields the canonical races (ascending by (a, b), each listing
+ * its words ascending), byte-identical at every thread count.
  */
 
 #ifndef WMR_DETECT_RACE_FINDER_HH
@@ -43,29 +48,28 @@ struct RaceFinderOptions
 /** Work counters of one findRaces() call (summed over shards). */
 struct RaceFinderStats
 {
-    /** Address shards actually enumerated in parallel. */
+    /** Word ranges walked, one per thread. */
     unsigned shards = 1;
 
-    /** Addresses with at least one writing accessor. */
+    /** Words with at least one writing access. */
     std::uint64_t indexedAddrs = 0;
 
-    /** Candidate pairs considered (after the self-pair filter). */
+    /** Cross-processor (pair, word) candidates walked: a pair that
+     *  conflicts on n words counts n times. */
     std::uint64_t candidatePairs = 0;
 
-    /** Pairs answered by the per-shard dedupe/memo table. */
-    std::uint64_t memoHits = 0;
-
-    /** reach.ordered() oracle queries actually issued. */
+    /** reach.ordered() oracle queries: one per candidate, so always
+     *  equal to candidatePairs. */
     std::uint64_t reachQueries = 0;
 
-    /** Distinct pairs the oracle found hb1-ordered (memoized). */
+    /** Candidates the oracle found hb1-ordered. */
     std::uint64_t orderedPairs = 0;
 };
 
 /**
  * Enumerate the races of @p trace under the hb1 order @p reach.
- * Pairs are deduplicated across addresses; each returned race lists
- * every conflicting location of its event pair.
+ * Each returned race lists every conflicting location of its event
+ * pair.
  *
  * @p threads shards the candidate enumeration (0 = hardware
  * concurrency); the returned vector is byte-identical for every

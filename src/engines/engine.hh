@@ -94,11 +94,20 @@ struct EngineRace
 struct EngineTraceInfo
 {
     ProcId procs = 0;
+
+    /** One past the largest word an event accesses; the trace's
+     *  declared universe may be far larger. */
     Addr memWords = 0;
+
     std::size_t numEvents = 0;
     std::uint32_t numSyncEvents = 0;
     std::uint64_t totalOps = 0;
     OpId firstStaleRead = kNoOp;
+
+    /** By event id: whether some event names it as its
+     *  pairedRelease, i.e. it is an so1 join source.  Only these
+     *  clocks are ever joined, so only these are snapshotted. */
+    std::vector<bool> joinSources;
 };
 
 /** Everything one engine concluded about the stream. */

@@ -129,11 +129,28 @@ runEngineFamily(const ExecutionTrace &trace,
 
     EngineFamilyResult out;
     out.info.procs = trace.numProcs();
-    out.info.memWords = trace.memWords();
     out.info.numEvents = trace.events().size();
     out.info.numSyncEvents = trace.numSyncEvents();
     out.info.totalOps = trace.totalOps();
     out.info.firstStaleRead = trace.firstStaleRead();
+
+    // One pass over the events: the words they touch (the declared
+    // universe can be far larger) and the so1 join sources.
+    out.info.joinSources.assign(out.info.numEvents, false);
+    for (const Event &ev : trace.events()) {
+        Addr top = 0;
+        if (ev.kind == EventKind::Sync) {
+            top = ev.syncOp.addr + 1;
+        } else {
+            if (!ev.readSet.empty())
+                top = ev.readSet.back() + 1;
+            if (!ev.writeSet.empty())
+                top = std::max(top, ev.writeSet.back() + 1);
+        }
+        out.info.memWords = std::max(out.info.memWords, top);
+        if (ev.pairedRelease < out.info.numEvents)
+            out.info.joinSources[ev.pairedRelease] = true;
+    }
 
     // Canonical engine order, deduplicated.
     std::vector<EngineKind> kinds = opts.kinds;

@@ -12,6 +12,7 @@ Hb1Engine::begin(const EngineTraceInfo &info)
 {
     trace_ = ExecutionTrace();
     trace_.setShape(info.procs, info.memWords);
+    trace_.reserveEvents(info.numEvents);
     trace_.setFirstStaleRead(info.firstStaleRead);
     trace_.setTotalOps(info.totalOps);
 }

@@ -24,20 +24,28 @@ OtfEngine::name() const
 void
 OtfEngine::begin(const EngineTraceInfo &info)
 {
+    // The detectors grow their per-word state on demand, over the
+    // dense word numbers.
     const ProcId procs = info.procs ? info.procs : 1;
     switch (kind_) {
     case OtfKind::Vc:
-        det_ = std::make_unique<VcDetector>(procs, info.memWords);
+        det_ = std::make_unique<VcDetector>(procs, 0);
         break;
     case OtfKind::Epoch:
-        det_ = std::make_unique<EpochDetector>(procs,
-                                               info.memWords);
+        det_ = std::make_unique<EpochDetector>(procs, 0);
         break;
     case OtfKind::Lockset:
-        det_ = std::make_unique<LocksetDetector>(procs,
-                                                 info.memWords);
+        det_ = std::make_unique<LocksetDetector>(procs, 0);
         break;
     }
+    dense_.clear();
+}
+
+Addr
+OtfEngine::denseWord(Addr a)
+{
+    const auto next = static_cast<Addr>(dense_.size());
+    return dense_.try_emplace(a, next).first->second;
 }
 
 void
@@ -49,7 +57,9 @@ OtfEngine::feed(const Event &ev)
         return;
 
     if (ev.kind == EventKind::Sync) {
-        det_->onOp(ev.syncOp);
+        MemOp op = ev.syncOp;
+        op.addr = denseWord(op.addr);
+        det_->onOp(op);
         synthOps.inc();
         return;
     }
@@ -65,7 +75,7 @@ OtfEngine::feed(const Event &ev)
     op.id = ev.firstOp;
     for (const Addr a : ev.readSet) {
         op.kind = OpKind::Read;
-        op.addr = a;
+        op.addr = denseWord(a);
         op.pc = a;
         det_->onOp(op);
         synthOps.inc();
@@ -73,7 +83,7 @@ OtfEngine::feed(const Event &ev)
     op.id = ev.lastOp;
     for (const Addr a : ev.writeSet) {
         op.kind = OpKind::Write;
-        op.addr = a;
+        op.addr = denseWord(a);
         op.pc = a;
         det_->onOp(op);
         synthOps.inc();

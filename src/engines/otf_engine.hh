@@ -12,12 +12,19 @@
  * approximations (bounded history, last-access metadata) and sit
  * OUTSIDE the hb1 ⊆ shb ⊆ wcp containment chain; the family report
  * labels them as such.
+ *
+ * The adapter numbers words densely in the order they first occur,
+ * so the detectors' per-word state follows the words the trace
+ * touches, not its highest word or declared universe.  The renaming
+ * is injective and the verdicts are race counts, so they do not
+ * change.
  */
 
 #ifndef WMR_ENGINES_OTF_ENGINE_HH
 #define WMR_ENGINES_OTF_ENGINE_HH
 
 #include <memory>
+#include <unordered_map>
 
 #include "engines/engine.hh"
 #include "onthefly/onthefly.hh"
@@ -43,8 +50,12 @@ class OtfEngine : public DetectorEngine
     EngineVerdict finish() override;
 
   private:
+    /** @return the detector's dense number of word @p a. */
+    Addr denseWord(Addr a);
+
     OtfKind kind_;
     std::unique_ptr<OnTheFlyDetector> det_;
+    std::unordered_map<Addr, Addr> dense_;
 };
 
 } // namespace wmr::engines

@@ -60,6 +60,7 @@ ShbEngine::begin(const EngineTraceInfo &info)
     procs_ = info.procs;
     clock_.assign(procs_, VectorClock(procs_));
     epochs_.assign(procs_, 0);
+    joinSources_ = info.joinSources;
 }
 
 void
@@ -95,7 +96,7 @@ ShbEngine::feed(const Event &ev)
             {static_cast<EventId>(u.key), ev.id, std::move(u.addrs)});
     hist_.record(acc_, ev.id, p, epoch);
 
-    if (isSync)
+    if (isSync && ev.id < joinSources_.size() && joinSources_[ev.id])
         syncSnap_.emplace(ev.id, c);
 }
 

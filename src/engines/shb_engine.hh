@@ -63,7 +63,8 @@ class ShbEngine : public DetectorEngine
     std::vector<VectorClock> clock_;
     std::vector<std::uint64_t> epochs_;
 
-    /** Clock snapshots of sync events (so1 join sources). */
+    /** EngineTraceInfo::joinSources, and their clock snapshots. */
+    std::vector<bool> joinSources_;
     std::unordered_map<EventId, VectorClock> syncSnap_;
 
     AccessHistory hist_;

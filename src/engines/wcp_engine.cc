@@ -11,6 +11,7 @@ WcpEngine::begin(const EngineTraceInfo &info)
     proc_.assign(procs_, {});
     for (auto &p : proc_)
         p.clock = VectorClock(procs_);
+    joinSources_ = info.joinSources;
 }
 
 bool
@@ -64,14 +65,16 @@ WcpEngine::feed(const Event &ev)
 
     if (isSync) {
         // The region ends here: publish this sync event's snapshot
-        // (clock + the data footprint of the closed region), expire
-        // any unconsumed pending join, then arm the pairing's join
-        // for the region that starts now.
-        ReleaseSnap snap;
-        snap.clock = ps.clock;
-        snap.reads = ps.regionReads;
-        snap.writes = ps.regionWrites;
-        syncSnap_.emplace(ev.id, std::move(snap));
+        // (clock + the data footprint of the closed region) if a
+        // pairing names it, expire any unconsumed pending join, then
+        // arm the pairing's join for the region that starts now.
+        if (ev.id < joinSources_.size() && joinSources_[ev.id]) {
+            ReleaseSnap snap;
+            snap.clock = ps.clock;
+            snap.reads = ps.regionReads;
+            snap.writes = ps.regionWrites;
+            syncSnap_.emplace(ev.id, std::move(snap));
+        }
 
         if (ps.pending) {
             ps.pending = false;

@@ -84,7 +84,8 @@ class WcpEngine : public DetectorEngine
     ProcId procs_ = 0;
     std::vector<ProcState> proc_;
 
-    /** Snapshots of sync events (join sources for pairings). */
+    /** EngineTraceInfo::joinSources, and their snapshots. */
+    std::vector<bool> joinSources_;
     std::unordered_map<EventId, ReleaseSnap> syncSnap_;
 
     AccessHistory hist_;

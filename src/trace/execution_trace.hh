@@ -96,6 +96,7 @@ class ExecutionTrace
     void setShape(ProcId procs, Addr words);
     void setFirstStaleRead(OpId op) { firstStaleRead_ = op; }
     void setTotalOps(std::uint64_t n) { totalOps_ = n; }
+    void reserveEvents(std::size_t n) { events_.reserve(n); }
 
     /**
      * Append @p ev.  Its id and indexInProc are assigned here, and

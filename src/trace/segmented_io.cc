@@ -260,6 +260,7 @@ rebuildTrace(std::vector<FileEvent> &events, const SegmentScanner &scan,
                      });
     std::vector<EventId> idByOrdinal(n, kNoEvent);
 
+    trace.reserveEvents(n);
     for (std::size_t i = 0; i < n; ++i) {
         FileEvent &fe = events[order[i]];
         Event ev;

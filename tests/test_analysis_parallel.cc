@@ -13,8 +13,8 @@
  *  - ReachabilityParallel.*: the level-parallel clock build is
  *                            bit-identical to the serial one and
  *                            actually engages on wide condensations;
- *  - RaceFinderSharding.*:   shard merge determinism and the
- *                            ordered-pair memoization counters;
+ *  - RaceFinderSharding.*:   shard merge determinism, and one race
+ *                            per pair listing every racing word;
  *  - BatchBudget.*:          `batch` splits its budget between
  *                            inter- and intra-trace parallelism, and
  *                            nested parallelism stays deterministic
@@ -262,15 +262,14 @@ TEST(ReachabilityParallel, NarrowCondensationFallsBackToSerial)
 }
 
 // ---------------------------------------------------------------
-// RaceFinderSharding: merge determinism + ordered-pair memoization.
+// RaceFinderSharding: per-word hits merge into canonical races.
 // ---------------------------------------------------------------
 
 /** Two procs, each: comp event writing words [10, 10+span), then a
- *  sync on word 0 (P0 release write, P1 acquire read). @p paired
- *  links the acquire to the release (ordering the comp events when
- *  the comp precedes the release / follows the acquire). */
+ *  sync on word 0 (P0 release write, P1 acquire read).  The acquire
+ *  is not paired with the release, so the comp events race. */
 ExecutionTrace
-twoProcConflictTrace(Addr span, bool paired)
+twoProcConflictTrace(Addr span)
 {
     ExecutionTrace trace;
     trace.setShape(2, 10 + span);
@@ -291,7 +290,7 @@ twoProcConflictTrace(Addr span, bool paired)
     rel.syncOp.kind = OpKind::Write;
     rel.syncOp.release = true;
     rel.syncOp.addr = 0;
-    const EventId relId = trace.addEvent(std::move(rel));
+    trace.addEvent(std::move(rel));
 
     Event acq;
     acq.kind = EventKind::Sync;
@@ -301,8 +300,6 @@ twoProcConflictTrace(Addr span, bool paired)
     acq.syncOp.kind = OpKind::Read;
     acq.syncOp.acquire = true;
     acq.syncOp.addr = 0;
-    if (paired)
-        acq.pairedRelease = relId;
     trace.addEvent(std::move(acq));
 
     Event c1;
@@ -317,46 +314,32 @@ twoProcConflictTrace(Addr span, bool paired)
     return trace;
 }
 
-TEST(RaceFinderSharding, OrderedPairsAreMemoized)
+TEST(RaceFinderSharding, RacingPairListsEveryWord)
 {
-    // The comp events conflict on 12 words but hb1 orders them
-    // (release->acquire): ONE oracle query, 11 memo hits, no race.
-    const auto trace = twoProcConflictTrace(12, true);
-    const HbGraph hb(trace);
-    const ReachabilityIndex reach(hb, trace);
-
-    RaceFinderStats stats;
-    const auto races = findRaces(trace, reach, {}, 1, &stats);
-    EXPECT_TRUE(races.empty());
-    EXPECT_EQ(stats.candidatePairs, 12u);
-    EXPECT_EQ(stats.reachQueries, 1u);
-    EXPECT_EQ(stats.memoHits, 11u);
-    EXPECT_EQ(stats.orderedPairs, 1u);
-}
-
-TEST(RaceFinderSharding, RacingPairsAreMemoizedToo)
-{
-    // Without the pairing the same pair races; still one oracle
-    // query, and the addr list accumulates through the memo.
-    const auto trace = twoProcConflictTrace(12, false);
+    // The comp events race on 12 words: one race listing all 12,
+    // after one oracle query per word.
+    const auto trace = twoProcConflictTrace(12);
     const HbGraph hb(trace);
     const ReachabilityIndex reach(hb, trace);
 
     RaceFinderStats stats;
     const auto races = findRaces(trace, reach, {}, 1, &stats);
     ASSERT_EQ(races.size(), 1u);
-    EXPECT_EQ(races[0].addrs.size(), 12u);
-    EXPECT_EQ(stats.reachQueries, 1u);
-    EXPECT_EQ(stats.memoHits, 11u);
+    std::vector<Addr> words;
+    for (Addr a = 0; a < 12; ++a)
+        words.push_back(10 + a);
+    EXPECT_EQ(races[0].addrs, words);
+    EXPECT_EQ(stats.candidatePairs, 12u);
+    EXPECT_EQ(stats.reachQueries, 12u);
     EXPECT_EQ(stats.orderedPairs, 0u);
 }
 
 TEST(RaceFinderSharding, ShardedMergeMatchesSerial)
 {
-    // A pair conflicting on addresses in DIFFERENT shards is
-    // enumerated by each; the merge must union its addr lists into
-    // the same canonical race the serial path finds.
-    const auto trace = twoProcConflictTrace(12, false);
+    // A pair conflicting on words in DIFFERENT shards is enumerated
+    // by each; the sort of all hits must gather its words into the
+    // same canonical race the serial path finds.
+    const auto trace = twoProcConflictTrace(12);
     const HbGraph hb(trace);
     const ReachabilityIndex reach(hb, trace);
 

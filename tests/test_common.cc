@@ -1,10 +1,14 @@
 /**
  * @file
- * Unit tests of the common substrate: RNG, strings.
+ * Unit tests of the common substrate: RNG, strings, CRC-32.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/crc32.hh"
 #include "common/rng.hh"
 #include "common/string_util.hh"
 
@@ -112,6 +116,63 @@ TEST(StringUtil, WithCommas)
     EXPECT_EQ(withCommas(999), "999");
     EXPECT_EQ(withCommas(1000), "1,000");
     EXPECT_EQ(withCommas(1234567), "1,234,567");
+}
+
+/** The bytewise reflected CRC-32 (polynomial 0xEDB88320), one bit at
+ *  a time: the reference the table-driven crc32Update must match. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *p, std::size_t n)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1) ? (0xedb88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32, CheckValue)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    std::vector<std::uint8_t> buf(64 + 8);
+    Rng rng(7);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            const std::uint8_t *p = buf.data() + off;
+            EXPECT_EQ(crc32(p, len), referenceCrc32(p, len))
+                << "offset " << off << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, SplitUpdatesMatchOneShot)
+{
+    std::vector<std::uint8_t> buf(64 + 8);
+    Rng rng(11);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            const std::uint8_t *p = buf.data() + off;
+            const std::uint32_t want = referenceCrc32(p, len);
+            for (std::size_t cut = 0; cut <= len; ++cut) {
+                std::uint32_t crc = crc32Init();
+                crc = crc32Update(crc, p, cut);
+                crc = crc32Update(crc, p + cut, len - cut);
+                EXPECT_EQ(crc32Final(crc), want)
+                    << "offset " << off << " length " << len
+                    << " cut " << cut;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  *
  * The production path answers "is this pair hb1-ordered" with the
  * per-processor clock oracle over the SCC condensation, enumerates
- * candidates per address shard, and partitions races by G'-SCC.
+ * candidates per word from a sync/data-split access index cut into
+ * word shards, and partitions races by G'-SCC.
  * Every one of those layers has a trivially correct O(n^2)
  * counterpart: the transitive closure computed by DFS from every
  * node.  This file cross-checks, over seeded random-program traces
@@ -113,7 +114,8 @@ struct TraceUnderTest
 };
 
 /** A spread of trace shapes: weak-model program runs (racy and
- *  race-free) plus synthetic hot-conflict traces. */
+ *  race-free), synthetic hot-conflict traces, and one synthetic
+ *  trace whose sync and data words coincide. */
 std::vector<ExecutionTrace>
 oracleTraces()
 {
@@ -138,6 +140,18 @@ oracleTraces()
         opts.seed = seed;
         out.push_back(makeSyntheticTrace(opts));
     }
+    // memWords == syncWords puts data and sync accesses on the same
+    // 8 words, so the finder's data×sync, sync×data and optional
+    // sync×sync walks all meet the closure.
+    SyntheticTraceOptions mixed;
+    mixed.procs = 4;
+    mixed.eventsPerProc = 40;
+    mixed.memWords = 8;
+    mixed.syncWords = 8;
+    mixed.syncFraction = 0.6;
+    mixed.hotFraction = 0;
+    mixed.seed = 34;
+    out.push_back(makeSyntheticTrace(mixed));
     return out;
 }
 
