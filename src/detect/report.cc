@@ -1,12 +1,12 @@
 #include "detect/report.hh"
 
-#include "common/string_util.hh"
+#include "obs/obs.hh"
 
 namespace wmr {
 
 namespace {
 
-std::string
+const char *
 membershipText(ScpMembership m)
 {
     switch (m) {
@@ -17,36 +17,49 @@ membershipText(ScpMembership m)
     return "?";
 }
 
-ReportRaceModel
-buildRaceModel(const DetectionResult &result, RaceId r)
-{
-    const DataRace &race = result.races()[r];
-    ReportRaceModel out;
-    out.a = summarizeEvent(result.trace().event(race.a));
-    out.b = summarizeEvent(result.trace().event(race.b));
-    out.addrs = race.addrs;
-    out.isDataRace = race.isDataRace;
-    out.inScp = result.scp().raceInScp[r];
-    out.maybeInScp = result.scp().raceMaybeInScp[r];
-    return out;
-}
-
 } // namespace
 
 ReportModel
 buildReportModel(const DetectionResult &result)
 {
+    obs::Span span("report.model");
+    const ExecutionTrace &trace = result.trace();
+    const std::vector<DataRace> &races = result.races();
     ReportModel m;
-    m.numEvents = result.trace().events().size();
-    m.numSyncEvents = result.trace().numSyncEvents();
-    m.totalOps = result.trace().totalOps();
+    m.numEvents = trace.events().size();
+    m.numSyncEvents = trace.numSyncEvents();
+    m.totalOps = trace.totalOps();
     m.numDataRaces = result.numDataRaces();
     m.anyDataRace = result.anyDataRace();
     m.wholeExecutionSc = result.scp().wholeExecutionSc;
     m.scpEndOp = result.scp().scpEndOp;
-    for (RaceId r = 0; r < result.races().size(); ++r)
-        m.races.push_back(buildRaceModel(result, r));
+
+    // One summary per racy event: mark the endpoints, then number
+    // them in id order.
+    constexpr std::uint32_t kNotRacy = ~std::uint32_t{0};
+    std::vector<std::uint32_t> slot(trace.events().size(), kNotRacy);
+    for (const DataRace &race : races)
+        slot[race.a] = slot[race.b] = 0;
+    for (EventId id = 0; id < slot.size(); ++id) {
+        if (slot[id] == kNotRacy)
+            continue;
+        slot[id] = static_cast<std::uint32_t>(m.events.size());
+        m.events.push_back(summarizeEvent(trace.event(id)));
+    }
+
+    m.races.reserve(races.size());
+    for (RaceId r = 0; r < races.size(); ++r) {
+        ReportRaceModel rm;
+        rm.a = slot[races[r].a];
+        rm.b = slot[races[r].b];
+        rm.addrs = races[r].addrs;
+        rm.isDataRace = races[r].isDataRace;
+        rm.inScp = result.scp().raceInScp[r];
+        rm.maybeInScp = result.scp().raceMaybeInScp[r];
+        m.races.push_back(std::move(rm));
+    }
     const auto &parts = result.partitions();
+    m.partitions.reserve(parts.partitions.size());
     for (const auto &part : parts.partitions) {
         ReportPartitionModel pm;
         pm.label = part.label;
@@ -59,22 +72,6 @@ buildReportModel(const DetectionResult &result)
 }
 
 std::string
-describeEvent(const Event &ev, const Program *prog)
-{
-    return describeEventInfo(summarizeEvent(ev), prog);
-}
-
-std::string
-describeRace(const DetectionResult &result, RaceId r,
-             const Program *prog, const ReportOptions &opts)
-{
-    ReportModel m;
-    m.races.resize(r + 1);
-    m.races[r] = buildRaceModel(result, r);
-    return describeRaceModel(m, r, prog, opts);
-}
-
-std::string
 formatReport(const DetectionResult &result, const Program *prog,
              const ReportOptions &opts)
 {
@@ -84,10 +81,11 @@ formatReport(const DetectionResult &result, const Program *prog,
     if (m.anyDataRace && opts.showEvents) {
         out += "-- events --\n";
         for (const auto &ev : result.trace().events()) {
-            out += strformat(
-                "   %s [%s]\n", describeEvent(ev, prog).c_str(),
-                membershipText(
-                    result.scp().membership(ev.id)).c_str());
+            out += "   ";
+            appendEventInfo(out, summarizeEvent(ev), prog);
+            out += " [";
+            out += membershipText(result.scp().membership(ev.id));
+            out += "]\n";
         }
     }
     return out;

@@ -29,14 +29,6 @@ namespace wmr {
 /** Build the engine-neutral report model from a detection result. */
 ReportModel buildReportModel(const DetectionResult &result);
 
-/** Render one event as a one-line summary. */
-std::string describeEvent(const Event &ev, const Program *prog);
-
-/** Render one race as a one-line summary. */
-std::string describeRace(const DetectionResult &result, RaceId r,
-                         const Program *prog,
-                         const ReportOptions &opts = {});
-
 /** Render the full report. */
 std::string formatReport(const DetectionResult &result,
                          const Program *prog = nullptr,

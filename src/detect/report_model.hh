@@ -9,12 +9,16 @@
  * analysis engine, plus the single renderer that produces the text.
  * Both the whole-trace pipeline (detect/analysis) and the streaming
  * engine (stream/) fill a ReportModel; format identity then holds by
- * construction.
+ * construction.  The model keeps one summary per racy event, and the
+ * renderer appends every line into one string with std::to_chars;
+ * tests/test_report.cc holds it byte-equal to the earlier strformat
+ * renderer, kept there as the reference.
  */
 
 #ifndef WMR_DETECT_REPORT_MODEL_HH
 #define WMR_DETECT_REPORT_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,23 +34,45 @@ namespace wmr {
 /** Formatting options. */
 struct ReportOptions
 {
-    /** Also list non-first partitions. */
-    bool showNonFirst = true;
-
     /** Include per-event detail (op ranges, READ/WRITE sets).
      *  Whole-trace analysis only: the streaming engine does not keep
      *  the full event list resident. */
     bool showEvents = false;
-
-    /** Maximum addresses printed per race. */
-    std::size_t maxAddrsPerRace = 8;
 };
 
 /**
- * What a report line needs to know about one event.  A computation
- * event's line prints at most the first four addresses of each of its
- * READ and WRITE sets, so that is all the model keeps — the streaming
- * engine can retire the full sets.
+ * Version of the report text.  Bump it with every deliberate re-bless
+ * of the golden reports: serve's disk cache names its entries with
+ * it, so a `--cache-dir` daemon upgraded across a format change
+ * re-analyzes instead of serving the old bytes.
+ */
+inline constexpr std::uint32_t kReportFormatVersion = 1;
+
+/**
+ * The first words of an ascending access set, held inline.  A report
+ * line prints at most kMax words of each READ and WRITE set, so that
+ * is all a summary keeps.
+ */
+struct WordPrefix
+{
+    static constexpr std::size_t kMax = 4;
+
+    std::array<Addr, kMax> words{};
+    std::uint8_t size = 0;
+
+    WordPrefix() = default;
+
+    /** Keep the first kMax words of @p set. */
+    explicit WordPrefix(const std::vector<Addr> &set);
+
+    const Addr *begin() const { return words.data(); }
+    const Addr *end() const { return words.data() + size; }
+};
+
+/**
+ * What a report line needs to know about one event.  The streaming
+ * engine can retire the full READ/WRITE sets: a summary keeps only
+ * the prefix a line prints.
  */
 struct ReportEventInfo
 {
@@ -60,18 +86,17 @@ struct ReportEventInfo
     /** Member-operation count (computation events). */
     std::uint32_t opCount = 0;
 
-    /** First four READ-set addresses, ascending. */
-    std::vector<Addr> reads;
-
-    /** First four WRITE-set addresses, ascending. */
-    std::vector<Addr> writes;
+    WordPrefix reads;
+    WordPrefix writes;
 };
 
-/** One race, with both endpoint summaries and SCP classification. */
+/** One race: its endpoints, conflict words and SCP classification. */
 struct ReportRaceModel
 {
-    ReportEventInfo a;
-    ReportEventInfo b;
+    /** Endpoints as indices into ReportModel::events; a is the
+     *  endpoint with the smaller event id. */
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
 
     /** Conflict addresses, ascending and deduplicated. */
     std::vector<Addr> addrs;
@@ -108,6 +133,10 @@ struct ReportModel
     bool wholeExecutionSc = true;
     std::uint64_t scpEndOp = 0;
 
+    /** One summary per racy event (an endpoint of some race), each
+     *  exactly once; races refer to them by index. */
+    std::vector<ReportEventInfo> events;
+
     std::vector<ReportRaceModel> races;
 
     /** In label order; firstPartitions indices follow that order. */
@@ -118,14 +147,9 @@ struct ReportModel
 /** Summarize one trace event into its report form. */
 ReportEventInfo summarizeEvent(const Event &ev);
 
-/** Render one event summary as a one-line description. */
-std::string describeEventInfo(const ReportEventInfo &info,
-                              const Program *prog);
-
-/** Render race @p r of @p m as a one-line description. */
-std::string describeRaceModel(const ReportModel &m, RaceId r,
-                              const Program *prog,
-                              const ReportOptions &opts = {});
+/** Append the one-line description of an event summary to @p out. */
+void appendEventInfo(std::string &out, const ReportEventInfo &info,
+                     const Program *prog);
 
 /**
  * Render the full report from the model.  Covers everything except

@@ -57,12 +57,12 @@ ResultCache::ResultCache(std::uint64_t byteBudget,
 }
 
 std::string
-ResultCache::entryFileName(const CacheKey &key)
+ResultCache::entryFileName(const CacheKey &key, std::uint32_t version)
 {
-    return strformat("h%s-s%llu-f%u.wmres",
+    return strformat("h%s-s%llu-f%u-v%u.wmres",
                      hash64Hex(key.hash).c_str(),
                      static_cast<unsigned long long>(key.bytes),
-                     key.flags);
+                     key.flags, version);
 }
 
 std::uint64_t

@@ -17,11 +17,12 @@
  *    the cold end until the new entry fits.  Entries are whole
  *    responses (meta + report text), costed at their string sizes
  *    plus a fixed per-entry overhead so the accounting cannot creep.
- *  - DISK (optional): a directory of one file per key, written
- *    temp-then-rename and CRC-framed so a torn write is detected and
- *    ignored, never served.  A memory miss falls through to disk and
- *    re-warms the memory tier; memory eviction does NOT delete the
- *    disk copy (disk is the durable tier, trimmed out of band).
+ *  - DISK (optional): a directory of one file per key and report
+ *    format version, written temp-then-rename and CRC-framed so a
+ *    torn write is detected and ignored, never served.  A memory
+ *    miss falls through to disk and re-warms the memory tier; memory
+ *    eviction does NOT delete the disk copy (disk is the durable
+ *    tier, trimmed out of band).
  *
  * Thread safety: one mutex around both tiers.  Lookups are
  * string-copy cheap next to an analysis, and the serve accept loop
@@ -37,6 +38,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "detect/report_model.hh"
 #include "serve/protocol.hh"
 
 namespace wmr::serve {
@@ -110,9 +112,13 @@ class ResultCache
     /** Drop the memory tier (disk survives).  Test support. */
     void dropMemoryForTest();
 
-    /** @return the disk file name for @p key (entry naming is part
-     *  of the persistence contract; see docs/SERVE.md). */
-    static std::string entryFileName(const CacheKey &key);
+    /** @return the disk file name for @p key under report format
+     *  @p version (entry naming is part of the persistence contract;
+     *  see docs/SERVE.md).  Lookups use kReportFormatVersion only, so
+     *  entries of another report format always miss. */
+    static std::string
+    entryFileName(const CacheKey &key,
+                  std::uint32_t version = kReportFormatVersion);
 
   private:
     struct Entry

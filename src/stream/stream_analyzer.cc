@@ -147,14 +147,8 @@ StreamAnalyzer::ingest(const SegFileEvent &fe)
     e->lastOp = fe.lastOp;
     e->opCount = fe.opCount;
     e->syncOp = fe.syncOp;
-    e->reads4.assign(
-        fe.readWords.begin(),
-        fe.readWords.begin() +
-            std::min<std::size_t>(4, fe.readWords.size()));
-    e->writes4.assign(
-        fe.writeWords.begin(),
-        fe.writeWords.begin() +
-            std::min<std::size_t>(4, fe.writeWords.size()));
+    e->reads4 = WordPrefix(fe.readWords);
+    e->writes4 = WordPrefix(fe.writeWords);
 
     // so1: join the paired release's clock snapshot.  A retired
     // release's snapshot is dominated by every live processor's
@@ -391,10 +385,8 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
               [](const LiveEvent *a, const LiveEvent *b) {
                   return a->ordinal < b->ordinal;
               });
-    std::unordered_map<std::uint64_t, std::uint32_t> nodeOf;
-    nodeOf.reserve(racy.size());
     for (std::uint32_t i = 0; i < racy.size(); ++i)
-        nodeOf.emplace(racy[i]->ordinal, i);
+        racy[i]->node = i;
 
     // Canonical race list: endpoints by final event id, ordered by
     // (a, b) — findRaces()'s contract (the race test already gave
@@ -472,10 +464,8 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
         }
     }
     for (const FinalRace &fr : finals) {
-        const std::uint32_t na = nodeOf.at(fr.ea->ordinal);
-        const std::uint32_t nb = nodeOf.at(fr.eb->ordinal);
-        g[na].push_back(nb);
-        g[nb].push_back(na);
+        g[fr.ea->node].push_back(fr.eb->node);
+        g[fr.eb->node].push_back(fr.ea->node);
     }
     const SccResult scc = stronglyConnectedComponents(g);
 
@@ -490,10 +480,8 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
     };
     std::map<std::uint32_t, std::vector<RaceId>> byComp;
     for (RaceId r = 0; r < finals.size(); ++r) {
-        const std::uint32_t ca =
-            scc.componentOf[nodeOf.at(finals[r].ea->ordinal)];
-        wmr_assert(ca ==
-                   scc.componentOf[nodeOf.at(finals[r].eb->ordinal)]);
+        const std::uint32_t ca = scc.componentOf[finals[r].ea->node];
+        wmr_assert(ca == scc.componentOf[finals[r].eb->node]);
         byComp[ca].push_back(r);
     }
     std::vector<Part> parts;
@@ -560,56 +548,61 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
     const std::uint64_t scpEndOp = wholeSc ? totalOps : firstStale;
 
     ReportModel m;
-    m.numEvents = static_cast<std::size_t>(eventsTotal_);
-    m.numSyncEvents = static_cast<std::uint32_t>(syncEvents_);
-    m.totalOps = totalOps;
-    m.wholeExecutionSc = wholeSc;
-    m.scpEndOp = scpEndOp;
-
-    const auto info = [](const LiveEvent *e) {
-        ReportEventInfo out;
-        out.id = e->finalId;
-        out.proc = e->proc;
-        out.isSync = e->kind == EventKind::Sync;
-        out.syncOp = e->syncOp;
-        out.opCount = e->opCount;
-        out.reads = e->reads4;
-        out.writes = e->writes4;
-        return out;
-    };
-    for (const FinalRace &fr : finals) {
-        ReportRaceModel rm;
-        rm.a = info(fr.ea);
-        rm.b = info(fr.eb);
-        rm.addrs = fr.addrs;
-        const Membership ma =
-            membershipOf(fr.ea->firstOp, fr.ea->lastOp, scpEndOp);
-        const Membership mb =
-            membershipOf(fr.eb->firstOp, fr.eb->lastOp, scpEndOp);
-        if (ma != Membership::Outside && mb != Membership::Outside) {
-            if (ma == Membership::Full && mb == Membership::Full) {
-                rm.inScp = true;
-                rm.maybeInScp = true;
-            } else {
-                rm.maybeInScp = true;
-            }
-        }
-        m.races.push_back(std::move(rm));
-    }
-    m.numDataRaces = finals.size();
-    m.anyDataRace = !finals.empty();
-
     std::uint64_t reportedRaces = 0;
-    for (const Part &part : parts) {
-        ReportPartitionModel pm;
-        pm.label = part.label;
-        pm.races = part.races;
-        pm.first = part.first;
-        if (part.first)
-            reportedRaces += part.races.size();
-        m.partitions.push_back(std::move(pm));
+    {
+        obs::Span span("report.model");
+        m.numEvents = static_cast<std::size_t>(eventsTotal_);
+        m.numSyncEvents = static_cast<std::uint32_t>(syncEvents_);
+        m.totalOps = totalOps;
+        m.wholeExecutionSc = wholeSc;
+        m.scpEndOp = scpEndOp;
+
+        // One summary per racy event, in node (file) order.
+        m.events.reserve(racy.size());
+        for (const LiveEvent *e : racy) {
+            ReportEventInfo info;
+            info.id = e->finalId;
+            info.proc = e->proc;
+            info.isSync = e->kind == EventKind::Sync;
+            info.syncOp = e->syncOp;
+            info.opCount = e->opCount;
+            info.reads = e->reads4;
+            info.writes = e->writes4;
+            m.events.push_back(info);
+        }
+        m.races.reserve(finals.size());
+        for (FinalRace &fr : finals) {
+            ReportRaceModel rm;
+            rm.a = fr.ea->node;
+            rm.b = fr.eb->node;
+            rm.addrs = std::move(fr.addrs);
+            const Membership ma =
+                membershipOf(fr.ea->firstOp, fr.ea->lastOp, scpEndOp);
+            const Membership mb =
+                membershipOf(fr.eb->firstOp, fr.eb->lastOp, scpEndOp);
+            if (ma != Membership::Outside &&
+                mb != Membership::Outside) {
+                rm.maybeInScp = true;
+                rm.inScp =
+                    ma == Membership::Full && mb == Membership::Full;
+            }
+            m.races.push_back(std::move(rm));
+        }
+        m.numDataRaces = finals.size();
+        m.anyDataRace = !finals.empty();
+
+        m.partitions.reserve(parts.size());
+        for (Part &part : parts) {
+            ReportPartitionModel pm;
+            pm.label = part.label;
+            pm.first = part.first;
+            if (part.first)
+                reportedRaces += part.races.size();
+            pm.races = std::move(part.races);
+            m.partitions.push_back(std::move(pm));
+        }
+        m.firstPartitions = firstParts;
     }
-    m.firstPartitions = firstParts;
 
     res.ok = true;
     res.exact = exact_;

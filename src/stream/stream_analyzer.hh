@@ -198,8 +198,8 @@ class StreamAnalyzer
         MemOp syncOp;
 
         /** First four words of each set (all a report line shows). */
-        std::vector<Addr> reads4;
-        std::vector<Addr> writes4;
+        WordPrefix reads4;
+        WordPrefix writes4;
 
         /** Addresses this event occupies in hist_, so retirement
          *  compacts exactly those instead of sweeping the whole
@@ -207,6 +207,11 @@ class StreamAnalyzer
         std::vector<Addr> histAddrs;
 
         VectorClock clock;
+
+        /** Index among the racy events, which finish() numbers in
+         *  file order: the summary graph's node and the report
+         *  model's event. */
+        std::uint32_t node = 0;
         bool racy = false;
         bool popped = false;  // finalId assigned
         bool retired = false; // left the race history

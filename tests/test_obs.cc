@@ -499,6 +499,14 @@ TEST(ObsE2E, TraceOutFileIsValidChromeTraceWithAllStages)
     for (const auto &stage : kAnalysisStages)
         EXPECT_TRUE(spanNames.count(stage)) << "missing " << stage;
 
+    // A check run must also show the report layers: model build,
+    // render and the stdout write.
+    if (std::getenv("WMR_OBS_E2E_REQUIRE_REPORT")) {
+        for (const char *name :
+             {"report.model", "report.render", "report.write"})
+            EXPECT_TRUE(spanNames.count(name)) << "missing " << name;
+    }
+
     // Batch runs must additionally show the worker scheduling spans.
     if (std::getenv("WMR_OBS_E2E_REQUIRE_BATCH")) {
         for (const char *name :

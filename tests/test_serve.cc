@@ -470,6 +470,58 @@ TEST(ServeServer, ReportIsByteIdenticalAndSecondSubmitHitsCache)
               std::string::npos);
 }
 
+TEST(ServeServer, DiskEntryOfAnotherReportFormatIsReanalyzed)
+{
+    TempDir cacheDir;
+    const auto withCacheDir = [&](ServeOptions &o) {
+        o.cacheDir = cacheDir.path;
+    };
+    const std::vector<std::uint8_t> bytes = makeTraceBytes(13);
+    const std::string expected = localCheckReport(bytes);
+    const CacheKey key{contentHash64(bytes.data(), bytes.size()),
+                       bytes.size(), 0};
+    const std::string current =
+        cacheDir.path + "/" + ResultCache::entryFileName(key);
+
+    // An entry persisted under another report format: the same key,
+    // old bytes.
+    {
+        ResultCache writer(1 << 20, cacheDir.path);
+        CachedResult old;
+        old.report = "a report in an older format\n";
+        writer.put(key, old);
+    }
+    ASSERT_TRUE(fs::exists(current));
+    fs::rename(current,
+               cacheDir.path + "/" +
+                   ResultCache::entryFileName(
+                       key, kReportFormatVersion + 1));
+
+    // A daemon misses it and analyzes the upload again...
+    {
+        RunningServer rs(withCacheDir);
+        SubmitResult r = submitTraceBytes(rs.addr, bytes);
+        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_EQ(r.response.status, RespStatus::Ok);
+        EXPECT_FALSE(r.response.cacheHit());
+        EXPECT_EQ(r.response.report, expected);
+        EXPECT_EQ(rs.server->stats().analyses, 1u);
+    }
+    ASSERT_TRUE(fs::exists(current));
+
+    // ...and after a restart its own entry still hits.
+    {
+        RunningServer rs(withCacheDir);
+        SubmitResult r = submitTraceBytes(rs.addr, bytes);
+        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_EQ(r.response.status, RespStatus::Ok);
+        EXPECT_TRUE(r.response.cacheHit());
+        EXPECT_EQ(r.response.report, expected);
+        EXPECT_EQ(rs.server->stats().analyses, 0u);
+        EXPECT_EQ(rs.server->cacheStats().diskHits, 1u);
+    }
+}
+
 TEST(ServeServer, NoCacheFlagBypassesTheCache)
 {
     RunningServer rs;

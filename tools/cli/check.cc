@@ -20,6 +20,7 @@
 #include "detect/report.hh"
 #include "engines/family.hh"
 #include "engines/shb_engine.hh"
+#include "obs/obs.hh"
 #include "stream/stream_analyzer.hh"
 #include "trace/segmented_io.hh"
 #include "trace/trace_io.hh"
@@ -45,13 +46,24 @@ shbFamilyFromStream(const StreamResult &sr)
         static_cast<std::uint32_t>(sr.syncEvents);
     fam.info.totalOps = sr.ops;
 
+    const std::vector<ReportEventInfo> &events = sr.report.events;
     std::vector<engines::EngineRace> races;
     races.reserve(sr.report.races.size());
     for (const ReportRaceModel &r : sr.report.races)
-        races.push_back({r.a.id, r.b.id, r.addrs, r.isDataRace});
+        races.push_back({events[r.a].id, events[r.b].id, r.addrs,
+                         r.isDataRace});
     fam.verdicts.push_back(engines::shbVerdict(std::move(races)));
     fam.anyDataRace = fam.verdicts.back().anyDataRace;
     return fam;
+}
+
+/** Write a finished report to stdout: the `report.write` layer. */
+static void
+writeReport(const std::string &report)
+{
+    obs::Span span("report.write");
+    std::fwrite(report.data(), 1, report.size(), stdout);
+    std::fflush(stdout);
 }
 
 /**
@@ -84,16 +96,11 @@ cmdCheckStream(const CommandLine &cl)
                   : "");
     std::printf("%s",
                 formatTraceProvenance(true, sr.salvage).c_str());
-    if (cl.has("engine")) {
-        // Same data-race set, so the exit code below still applies.
-        std::printf("%s", engines::formatFamilyReport(
-                              shbFamilyFromStream(sr))
-                              .c_str());
-    } else {
-        std::printf("%s",
-                    renderReport(sr.report, nullptr, ReportOptions{})
-                        .c_str());
-    }
+    // With --engine: the same data-race set, so the exit code below
+    // still applies.
+    writeReport(cl.has("engine")
+                    ? engines::formatFamilyReport(shbFamilyFromStream(sr))
+                    : renderReport(sr.report, nullptr, ReportOptions{}));
     if (cl.has("stats"))
         std::fprintf(
             stderr,
@@ -130,15 +137,14 @@ cmdCheck(const CommandLine &cl)
         fopts.threads = aopts.threads;
         const engines::EngineFamilyResult fam =
             engines::runEngineFamily(lt.trace, fopts);
-        std::printf("%s",
-                    engines::formatFamilyReport(fam).c_str());
+        writeReport(engines::formatFamilyReport(fam));
         return fam.anyDataRace ? 1 : 0;
     }
     const DetectionResult det =
         analyzeTrace(std::move(lt.trace), aopts);
     ReportOptions ropts;
     ropts.showEvents = cl.has("events");
-    std::printf("%s", formatReport(det, nullptr, ropts).c_str());
+    writeReport(formatReport(det, nullptr, ropts));
     if (cl.has("dot")) {
         writeDotFile(det, cl.text("dot"));
         std::printf("wrote DOT graph to %s\n", cl.text("dot").c_str());
