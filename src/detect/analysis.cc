@@ -31,8 +31,7 @@ DetectionResult::DetectionResult(ExecutionTrace trace,
     {
         obs::StagedSpan s("analysis.reachability",
                           stats_.reachabilitySeconds);
-        reach_ = std::make_unique<ReachabilityIndex>(*hb_, trace_,
-                                                     threads);
+        reach_ = std::make_unique<ReachabilityIndex>(*hb_, trace_);
     }
     stats_.hbReach = reach_->buildStats();
     stats_.hbComponents = reach_->scc().numComponents;
@@ -45,8 +44,7 @@ DetectionResult::DetectionResult(ExecutionTrace trace,
     }
     {
         obs::StagedSpan s("analysis.augment", stats_.augmentSeconds);
-        aug_ = std::make_unique<AugmentedGraph>(*hb_, races_, trace_,
-                                                threads);
+        aug_ = std::make_unique<AugmentedGraph>(*hb_, races_, trace_);
     }
     stats_.augReach = aug_->reach().buildStats();
     stats_.augComponents = aug_->reach().scc().numComponents;
@@ -124,9 +122,7 @@ formatAnalysisStats(const AnalysisStats &s)
     stage("graph build        ", s.graphBuildSeconds);
     stage("reachability       ", s.reachabilitySeconds);
     os << "    scc              " << s.hbReach.sccSeconds << " s, clocks "
-       << s.hbReach.clockSeconds << " s ("
-       << (s.hbReach.parallelClocks ? "parallel, " : "serial, ")
-       << s.hbReach.levels << " levels)\n";
+       << s.hbReach.clockSeconds << " s\n";
     stage("race finding       ", s.raceFindSeconds);
     os << "    shards " << s.finder.shards << ", words "
        << s.finder.indexedAddrs << ", candidates "
@@ -134,9 +130,7 @@ formatAnalysisStats(const AnalysisStats &s)
        << s.finder.orderedPairs << "\n";
     stage("augment (G')       ", s.augmentSeconds);
     os << "    scc              " << s.augReach.sccSeconds << " s, clocks "
-       << s.augReach.clockSeconds << " s ("
-       << (s.augReach.parallelClocks ? "parallel, " : "serial, ")
-       << s.augReach.levels << " levels)\n";
+       << s.augReach.clockSeconds << " s\n";
     stage("partitioning       ", s.partitionSeconds);
     stage("scp classification ", s.scpSeconds);
     stage("total              ", s.totalSeconds);

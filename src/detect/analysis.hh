@@ -37,8 +37,8 @@ struct AnalysisOptions
 
     /**
      * Analysis worker budget (0 = hardware concurrency).  Threads
-     * shard the race enumeration and the reachability clock builds;
-     * every result — races, partitions, SCP, reports — is
+     * shard the race enumeration only; every other stage is serial.
+     * Every result — races, partitions, SCP, reports — is
      * byte-identical at every value.
      */
     unsigned threads = 1;

@@ -15,33 +15,13 @@ augment(const HbGraph &hb, const std::vector<DataRace> &races)
     return adj;
 }
 
-std::vector<ProcId>
-procsOf(const ExecutionTrace &trace)
-{
-    std::vector<ProcId> out(trace.events().size());
-    for (const auto &ev : trace.events())
-        out[ev.id] = ev.proc;
-    return out;
-}
-
-std::vector<std::uint32_t>
-indicesOf(const ExecutionTrace &trace)
-{
-    std::vector<std::uint32_t> out(trace.events().size());
-    for (const auto &ev : trace.events())
-        out[ev.id] = ev.indexInProc;
-    return out;
-}
-
 } // namespace
 
 AugmentedGraph::AugmentedGraph(const HbGraph &hb,
                                const std::vector<DataRace> &races,
                                const ExecutionTrace &trace,
-                               unsigned threads)
-    : adj_(augment(hb, races)),
-      reach_(adj_, procsOf(trace), indicesOf(trace), trace.numProcs(),
-             threads)
+                               unsigned)
+    : adj_(augment(hb, races)), reach_(adj_, trace)
 {
 }
 

@@ -24,14 +24,10 @@ namespace wmr {
 class AugmentedGraph
 {
   public:
-    /**
-     * Build G' from the hb1 graph and the enumerated races.
-     * @p threads is the clock-propagation worker budget of the G'
-     * reachability oracle (0 = hardware concurrency); the oracle is
-     * bit-identical at every value.
-     */
+    /** Build G' from the hb1 graph and the enumerated races. */
     AugmentedGraph(const HbGraph &hb, const std::vector<DataRace> &races,
-                   const ExecutionTrace &trace, unsigned threads = 1);
+                   const ExecutionTrace &trace,
+                   unsigned = 1); // ignored; perfbench/probe.cc passes 1
 
     /** @return G' adjacency (hb edges + double race edges). */
     const AdjList &adjacency() const { return adj_; }

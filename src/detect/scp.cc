@@ -59,6 +59,26 @@ lowerLevelRaceInScp(const Event &ea, const Event &eb,
 
 } // namespace
 
+ScpMembership
+prefixMembership(OpId firstOp, OpId lastOp, OpId scpEndOp)
+{
+    if (lastOp < scpEndOp)
+        return ScpMembership::Full;
+    if (firstOp < scpEndOp)
+        return ScpMembership::Partial;
+    return ScpMembership::Outside;
+}
+
+RaceScp
+raceScpOf(ScpMembership a, ScpMembership b)
+{
+    RaceScp out;
+    out.maybe =
+        a != ScpMembership::Outside && b != ScpMembership::Outside;
+    out.in = a == ScpMembership::Full && b == ScpMembership::Full;
+    return out;
+}
+
 ScpInfo
 analyzeScp(const ExecutionTrace &trace,
            const std::vector<DataRace> &races,
@@ -93,12 +113,8 @@ analyzeScp(const ExecutionTrace &trace,
             else
                 info.eventScp[ev.id] = ScpMembership::Partial;
         } else {
-            if (ev.lastOp < info.scpEndOp)
-                info.eventScp[ev.id] = ScpMembership::Full;
-            else if (ev.firstOp < info.scpEndOp)
-                info.eventScp[ev.id] = ScpMembership::Partial;
-            else
-                info.eventScp[ev.id] = ScpMembership::Outside;
+            info.eventScp[ev.id] =
+                prefixMembership(ev.firstOp, ev.lastOp, info.scpEndOp);
         }
     }
 
@@ -107,12 +123,10 @@ analyzeScp(const ExecutionTrace &trace,
     for (RaceId r = 0; r < races.size(); ++r) {
         const Event &ea = events[races[r].a];
         const Event &eb = events[races[r].b];
-        const auto ma = info.eventScp[ea.id];
-        const auto mb = info.eventScp[eb.id];
-        if (ma == ScpMembership::Outside ||
-            mb == ScpMembership::Outside) {
+        const RaceScp bound =
+            raceScpOf(info.eventScp[ea.id], info.eventScp[eb.id]);
+        if (!bound.maybe)
             continue;
-        }
         const bool haveMembers =
             ops != nullptr &&
             (ea.kind == EventKind::Sync || !ea.memberOps.empty() ||
@@ -123,14 +137,9 @@ analyzeScp(const ExecutionTrace &trace,
             const bool in = lowerLevelRaceInScp(ea, eb, *ops);
             info.raceInScp[r] = in;
             info.raceMaybeInScp[r] = in;
-        } else if (ma == ScpMembership::Full &&
-                   mb == ScpMembership::Full) {
-            // Every member op inside: every lower-level conflicting
-            // pair is inside.
-            info.raceInScp[r] = true;
-            info.raceMaybeInScp[r] = true;
         } else {
-            info.raceMaybeInScp[r] = true;
+            info.raceInScp[r] = bound.in;
+            info.raceMaybeInScp[r] = bound.maybe;
         }
     }
     return info;

@@ -44,6 +44,30 @@ enum class ScpMembership : std::uint8_t {
     Outside,  ///< all member operations past the boundary
 };
 
+/**
+ * Membership of an event spanning operations [@p firstOp, @p lastOp]
+ * in the base prefix of operations with id < @p scpEndOp: Full
+ * strictly inside, Partial when the boundary cuts through it,
+ * Outside beyond it.  The rule for events whose member operations
+ * are not known.
+ */
+ScpMembership prefixMembership(OpId firstOp, OpId lastOp, OpId scpEndOp);
+
+/** Where a race stands against the SCP. */
+struct RaceScp
+{
+    bool in = false;    ///< certainly in the SCP
+    bool maybe = false; ///< possibly in the SCP (implied by in)
+};
+
+/**
+ * The event-granularity rule for a race whose endpoints have
+ * memberships @p a and @p b: possibly in the SCP unless an endpoint
+ * is Outside, certainly in when both are Full (then every
+ * lower-level conflicting pair is inside).
+ */
+RaceScp raceScpOf(ScpMembership a, ScpMembership b);
+
 /** SCP classification of one analyzed execution. */
 struct ScpInfo
 {

@@ -1,17 +1,18 @@
 /**
  * @file
- * The pluggable detector-engine interface.
+ * The detector engines and the verdict they share.
  *
- * A DetectorEngine consumes the Section-4.1 event stream — the
- * events of one ExecutionTrace, fed once, in event-id order — and
- * produces an EngineVerdict: the set of event pairs the engine
- * predicts as races plus the subset its reporting policy surfaces.
- * The family (family.hh) runs several engines over ONE pass of the
- * stream and cross-checks their verdicts:
+ * Each engine is a plain function of one whole ExecutionTrace (the
+ * events of a Section-4.1 trace, read in event-id order) and its
+ * EngineTraceInfo, returning an EngineVerdict: the set of event
+ * pairs the engine predicts as races plus the subset its reporting
+ * policy surfaces.  The family (family.hh) runs the selected engines
+ * over one trace and cross-checks their verdicts:
  *
  *   hb1   the paper's post-mortem method (Def. 2.2 happens-before,
- *         Sec. 4.2 first-partition reporting), wrapped behind the
- *         interface; its verdict is the canonical baseline.
+ *         Sec. 4.2 first-partition reporting): the family moves the
+ *         trace into analyzeTrace() and reads the verdict off its
+ *         DetectionResult; it is the canonical baseline.
  *   shb   single-pass vector-clock detection over the same hb1
  *         order; sound BEYOND the first race (reports every
  *         hb1-unordered conflicting pair, with per-variable
@@ -24,7 +25,7 @@
  *         feasible interleavings exhibit.
  *   vc/epoch/lockset
  *         the on-the-fly op-level detectors (src/onthefly) driven
- *         from the event stream through an operation-synthesizing
+ *         from the events through an operation-synthesizing
  *         adapter; approximations outside the containment chain.
  *
  * The construction guarantees reported(hb1) ⊆ races(shb) ⊆
@@ -50,7 +51,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "trace/event.hh"
 
 namespace wmr::engines {
 
@@ -90,15 +90,10 @@ struct EngineRace
     bool isDataRace = true;
 };
 
-/** Shape facts of the stream an engine is about to consume. */
+/** Shape facts of the trace the engines analyze. */
 struct EngineTraceInfo
 {
     ProcId procs = 0;
-
-    /** One past the largest word an event accesses; the trace's
-     *  declared universe may be far larger. */
-    Addr memWords = 0;
-
     std::size_t numEvents = 0;
     std::uint32_t numSyncEvents = 0;
     std::uint64_t totalOps = 0;
@@ -110,7 +105,7 @@ struct EngineTraceInfo
     std::vector<bool> joinSources;
 };
 
-/** Everything one engine concluded about the stream. */
+/** Everything one engine concluded about the trace. */
 struct EngineVerdict
 {
     std::string engine;
@@ -151,26 +146,6 @@ struct EngineVerdict
 EngineVerdict reportEveryRace(std::string engine,
                               std::string semantics,
                               std::vector<EngineRace> races);
-
-/**
- * One engine.  Lifecycle: begin() once, feed() each event in
- * event-id order exactly once, finish() once.
- */
-class DetectorEngine
-{
-  public:
-    virtual ~DetectorEngine() = default;
-
-    virtual const char *name() const = 0;
-
-    virtual void begin(const EngineTraceInfo &info) { (void)info; }
-
-    /** Consume one event of the stream. */
-    virtual void feed(const Event &ev) = 0;
-
-    /** Close the stream and produce the verdict. */
-    virtual EngineVerdict finish() = 0;
-};
 
 } // namespace wmr::engines
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/string_util.hh"
-#include "engines/hb1_engine.hh"
+#include "detect/analysis.hh"
 #include "engines/otf_engine.hh"
 #include "engines/shb_engine.hh"
 #include "engines/wcp_engine.hh"
@@ -89,6 +90,30 @@ findVerdict(const std::vector<EngineVerdict> &verdicts,
     return nullptr;
 }
 
+/** The hb1 verdict: the races, first partitions and counts of the
+ *  paper's method, as analyzeTrace() found them. */
+EngineVerdict
+hb1Verdict(const DetectionResult &det)
+{
+    static obs::Counter racesCtr = obs::counter("engine.hb1.races");
+
+    EngineVerdict v;
+    v.engine = "hb1";
+    v.semantics = "happens-before (Def. 2.2), reports first "
+                  "partitions (Sec. 4.2)";
+    v.races.reserve(det.races().size());
+    for (const DataRace &r : det.races())
+        v.races.push_back({r.a, r.b, r.addrs, r.isDataRace});
+    racesCtr.add(v.races.size());
+    v.numDataRaces = det.numDataRaces();
+    v.anyDataRace = det.anyDataRace();
+    v.reported = det.reportedRaces();
+    v.hasPartitions = true;
+    v.partitions = det.partitions().partitions.size();
+    v.firstPartitions = det.partitions().firstPartitions.size();
+    return v;
+}
+
 } // namespace
 
 const EngineVerdict *
@@ -97,29 +122,8 @@ EngineFamilyResult::verdict(const char *name) const
     return findVerdict(verdicts, name);
 }
 
-std::unique_ptr<DetectorEngine>
-makeEngine(EngineKind kind, unsigned threads)
-{
-    switch (kind) {
-    case EngineKind::Hb1:
-        return std::make_unique<Hb1Engine>(threads);
-    case EngineKind::Shb:
-        return std::make_unique<ShbEngine>();
-    case EngineKind::Wcp:
-        return std::make_unique<WcpEngine>();
-    case EngineKind::Vc:
-        return std::make_unique<OtfEngine>(OtfKind::Vc);
-    case EngineKind::Epoch:
-        return std::make_unique<OtfEngine>(OtfKind::Epoch);
-    case EngineKind::Lockset:
-        return std::make_unique<OtfEngine>(OtfKind::Lockset);
-    }
-    return nullptr;
-}
-
 EngineFamilyResult
-runEngineFamily(const ExecutionTrace &trace,
-                const EngineFamilyOptions &opts)
+runEngineFamily(ExecutionTrace trace, const EngineFamilyOptions &opts)
 {
     static obs::Counter runs = obs::counter("engine.family.runs");
     static obs::Counter violations =
@@ -133,21 +137,8 @@ runEngineFamily(const ExecutionTrace &trace,
     out.info.numSyncEvents = trace.numSyncEvents();
     out.info.totalOps = trace.totalOps();
     out.info.firstStaleRead = trace.firstStaleRead();
-
-    // One pass over the events: the words they touch (the declared
-    // universe can be far larger) and the so1 join sources.
     out.info.joinSources.assign(out.info.numEvents, false);
     for (const Event &ev : trace.events()) {
-        Addr top = 0;
-        if (ev.kind == EventKind::Sync) {
-            top = ev.syncOp.addr + 1;
-        } else {
-            if (!ev.readSet.empty())
-                top = ev.readSet.back() + 1;
-            if (!ev.writeSet.empty())
-                top = std::max(top, ev.writeSet.back() + 1);
-        }
-        out.info.memWords = std::max(out.info.memWords, top);
         if (ev.pairedRelease < out.info.numEvents)
             out.info.joinSources[ev.pairedRelease] = true;
     }
@@ -158,21 +149,32 @@ runEngineFamily(const ExecutionTrace &trace,
     kinds.erase(std::unique(kinds.begin(), kinds.end()),
                 kinds.end());
 
-    std::vector<std::unique_ptr<DetectorEngine>> engines;
-    for (const EngineKind k : kinds)
-        engines.push_back(makeEngine(k, opts.threads));
-
-    // ONE pass over the stream feeds every engine.
-    for (auto &e : engines)
-        e->begin(out.info);
-    for (const Event &ev : trace.events()) {
-        for (auto &e : engines)
-            e->feed(ev);
+    bool runHb1 = false;
+    for (const EngineKind k : kinds) {
+        switch (k) {
+        case EngineKind::Hb1:
+            runHb1 = true;
+            break;
+        case EngineKind::Shb:
+            out.verdicts.push_back(runShb(trace, out.info));
+            break;
+        case EngineKind::Wcp:
+            out.verdicts.push_back(runWcp(trace, out.info));
+            break;
+        case EngineKind::Vc:
+        case EngineKind::Epoch:
+        case EngineKind::Lockset:
+            out.verdicts.push_back(runOpLevel(k, trace, out.info));
+            break;
+        }
     }
-    for (auto &e : engines) {
-        out.verdicts.push_back(e->finish());
-        if (auto *hb1 = dynamic_cast<Hb1Engine *>(e.get()))
-            out.hb1CanonicalReport = hb1->canonicalReport();
+    // hb1 goes last, taking the trace; it sorts first.
+    if (runHb1) {
+        AnalysisOptions aopts;
+        aopts.threads = opts.threads;
+        out.verdicts.insert(
+            out.verdicts.begin(),
+            hb1Verdict(analyzeTrace(std::move(trace), aopts)));
     }
 
     for (const auto &v : out.verdicts)

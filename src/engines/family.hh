@@ -1,8 +1,8 @@
 /**
  * @file
- * The detector family: run several engines over ONE pass of the
- * Section-4.1 event stream, cross-check their verdicts, and render
- * the per-engine report with a machine-readable agreement summary.
+ * The detector family: run the selected engines over one trace,
+ * cross-check their verdicts, and render the per-engine report with
+ * a machine-readable agreement summary.
  *
  * The containment chain reported(hb1) ⊆ races(shb) ⊆ races(wcp)
  * holds by construction (see engine.hh); the family VERIFIES it on
@@ -13,7 +13,6 @@
 #ifndef WMR_ENGINES_FAMILY_HH
 #define WMR_ENGINES_FAMILY_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,7 @@ struct EngineFamilyOptions
     /** Engines to run, in canonical order. */
     std::vector<EngineKind> kinds;
 
-    /** Analysis worker budget of the hb1 engine (0 = hardware
+    /** Analysis worker budget of hb1's analyzeTrace() (0 = hardware
      *  concurrency).  Verdicts are identical at every value. */
     unsigned threads = 1;
 };
@@ -65,18 +64,16 @@ struct EngineFamilyResult
      *  CLI exit code, like DetectionResult::anyDataRace). */
     bool anyDataRace = false;
 
-    /** hb1's canonical `wmrace check` report (only when hb1 ran). */
-    std::string hb1CanonicalReport;
-
     const EngineVerdict *verdict(const char *name) const;
 };
 
-/** Instantiate one engine. */
-std::unique_ptr<DetectorEngine> makeEngine(EngineKind kind,
-                                           unsigned threads);
-
-/** Run the selected engines over @p trace in one stream pass. */
-EngineFamilyResult runEngineFamily(const ExecutionTrace &trace,
+/**
+ * Run the selected engines over @p trace.  The other engines read
+ * the trace first; hb1 then takes it into analyzeTrace(), so a
+ * caller done with its trace should move it in.  Verdicts come back
+ * in canonical engine order.
+ */
+EngineFamilyResult runEngineFamily(ExecutionTrace trace,
                                    const EngineFamilyOptions &opts);
 
 /**

@@ -1,8 +1,11 @@
 #include "engines/shb_engine.hh"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
+#include "hb/access_history.hh"
+#include "hb/vector_clock.hh"
 #include "obs/obs.hh"
 
 namespace wmr::engines {
@@ -54,58 +57,48 @@ shbVerdict(std::vector<EngineRace> races)
     return v;
 }
 
-void
-ShbEngine::begin(const EngineTraceInfo &info)
-{
-    procs_ = info.procs;
-    clock_.assign(procs_, VectorClock(procs_));
-    epochs_.assign(procs_, 0);
-    joinSources_ = info.joinSources;
-}
-
-void
-ShbEngine::feed(const Event &ev)
+EngineVerdict
+runShb(const ExecutionTrace &trace, const EngineTraceInfo &info)
 {
     static obs::Counter events = obs::counter("engine.shb.events");
     static obs::Counter joins = obs::counter("engine.shb.joins");
-    events.inc();
-
-    const ProcId p = ev.proc;
-    if (p >= procs_) { // defensive vs. malformed shape info
-        procs_ = p + 1;
-        clock_.resize(procs_);
-        epochs_.resize(procs_, 0);
-    }
-
-    const std::uint64_t epoch = ++epochs_[p];
-    VectorClock &c = clock_[p];
-    c.set(p, epoch);
-
-    const bool isSync = ev.kind == EventKind::Sync;
-    if (isSync && ev.pairedRelease != kNoEvent) {
-        const auto it = syncSnap_.find(ev.pairedRelease);
-        if (it != syncSnap_.end()) {
-            c.join(it->second);
-            joins.inc();
-        }
-    }
-
-    splitAccesses(ev, acc_);
-    for (AccessHistory::Partner &u : hist_.races(acc_, p, c))
-        races_.push_back(
-            {static_cast<EventId>(u.key), ev.id, std::move(u.addrs)});
-    hist_.record(acc_, ev.id, p, epoch);
-
-    if (isSync && ev.id < joinSources_.size() && joinSources_[ev.id])
-        syncSnap_.emplace(ev.id, c);
-}
-
-EngineVerdict
-ShbEngine::finish()
-{
     static obs::Counter racesCtr = obs::counter("engine.shb.races");
-    racesCtr.add(races_.size());
-    return shbVerdict(std::move(races_));
+
+    std::vector<VectorClock> clock(info.procs, VectorClock(info.procs));
+    std::vector<std::uint64_t> epochs(info.procs, 0);
+    // Clock snapshots of the so1 join sources only.
+    std::unordered_map<EventId, VectorClock> syncSnap;
+    AccessHistory hist;
+    AccessSplit acc;
+    std::vector<EngineRace> races;
+
+    events.add(trace.events().size());
+    for (const Event &ev : trace.events()) {
+        const ProcId p = ev.proc;
+        const std::uint64_t epoch = ++epochs[p];
+        VectorClock &c = clock[p];
+        c.set(p, epoch);
+
+        const bool isSync = ev.kind == EventKind::Sync;
+        if (isSync && ev.pairedRelease != kNoEvent) {
+            const auto it = syncSnap.find(ev.pairedRelease);
+            if (it != syncSnap.end()) {
+                c.join(it->second);
+                joins.inc();
+            }
+        }
+
+        splitAccesses(ev, acc);
+        for (AccessHistory::Partner &u : hist.races(acc, p, c))
+            races.push_back({static_cast<EventId>(u.key), ev.id,
+                             std::move(u.addrs)});
+        hist.record(acc, ev.id, p, epoch);
+
+        if (isSync && info.joinSources[ev.id])
+            syncSnap.emplace(ev.id, c);
+    }
+    racesCtr.add(races.size());
+    return shbVerdict(std::move(races));
 }
 
 } // namespace wmr::engines

@@ -5,11 +5,11 @@
  * Motivated by "What Happens-After the First Race?" (PAPERS.md): a
  * detector that reports only the first race leaves everything after
  * it unvetted, while naively reporting later hb-races risks
- * artifacts.  This engine walks the event stream once maintaining
- * the hb1 order with vector clocks (po ticks the issuing processor,
- * a paired acquire joins the release's clock snapshot) and runs the
- * shared forward race test (hb/access_history.hh) on every event;
- * every hb1-unordered conflicting pair is reported, together with
+ * artifacts.  This engine walks the events once maintaining the hb1
+ * order with vector clocks (po ticks the issuing processor, a paired
+ * acquire joins the release's clock snapshot) and runs the shared
+ * forward race test (hb/access_history.hh) on every event; every
+ * hb1-unordered conflicting pair is reported, together with
  * per-variable first-race attribution (the earliest race on each
  * variable, the anchor SHB's soundness argument is stated against),
  * which firstRacePerVariable() derives from the race list.
@@ -31,46 +31,23 @@
 #ifndef WMR_ENGINES_SHB_ENGINE_HH
 #define WMR_ENGINES_SHB_ENGINE_HH
 
-#include <unordered_map>
-
 #include "engines/engine.hh"
-#include "hb/access_history.hh"
-#include "hb/vector_clock.hh"
+#include "trace/execution_trace.hh"
 
 namespace wmr::engines {
 
 /**
  * The shb verdict over a race set (each address list canonical):
  * every race reported in canonical order, with per-variable
- * first-race attribution.  ShbEngine::finish() and `check --stream
- * --engine shb` both build their block with it, so the same races
- * print the same bytes.
+ * first-race attribution.  runShb() and `check --stream --engine
+ * shb` both build their block with it, so the same races print the
+ * same bytes.
  */
 EngineVerdict shbVerdict(std::vector<EngineRace> races);
 
-/** Single-pass SHB detector over the Section-4.1 event stream. */
-class ShbEngine : public DetectorEngine
-{
-  public:
-    const char *name() const override { return "shb"; }
-
-    void begin(const EngineTraceInfo &info) override;
-    void feed(const Event &ev) override;
-    EngineVerdict finish() override;
-
-  private:
-    ProcId procs_ = 0;
-    std::vector<VectorClock> clock_;
-    std::vector<std::uint64_t> epochs_;
-
-    /** EngineTraceInfo::joinSources, and their clock snapshots. */
-    std::vector<bool> joinSources_;
-    std::unordered_map<EventId, VectorClock> syncSnap_;
-
-    AccessHistory hist_;
-    AccessSplit acc_; // scratch
-    std::vector<EngineRace> races_;
-};
+/** Run SHB over the events of @p trace in event-id order. */
+EngineVerdict runShb(const ExecutionTrace &trace,
+                     const EngineTraceInfo &info);
 
 } // namespace wmr::engines
 

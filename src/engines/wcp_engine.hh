@@ -33,65 +33,14 @@
 #ifndef WMR_ENGINES_WCP_ENGINE_HH
 #define WMR_ENGINES_WCP_ENGINE_HH
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "engines/engine.hh"
-#include "hb/access_history.hh"
-#include "hb/vector_clock.hh"
+#include "trace/execution_trace.hh"
 
 namespace wmr::engines {
 
-/** Single-pass WCP detector over the Section-4.1 event stream. */
-class WcpEngine : public DetectorEngine
-{
-  public:
-    const char *name() const override { return "wcp"; }
-
-    void begin(const EngineTraceInfo &info) override;
-    void feed(const Event &ev) override;
-    EngineVerdict finish() override;
-
-  private:
-    /** A release's published state: its wcp clock and the data
-     *  footprint of the region it closed. */
-    struct ReleaseSnap
-    {
-        VectorClock clock;
-        std::unordered_set<Addr> reads;
-        std::unordered_set<Addr> writes;
-    };
-
-    /** Per-processor stream state. */
-    struct ProcState
-    {
-        VectorClock clock;
-        std::uint64_t epoch = 0;
-
-        /** Data footprint since the previous sync event. */
-        std::unordered_set<Addr> regionReads;
-        std::unordered_set<Addr> regionWrites;
-
-        /** Parked release join (set at a paired acquire, consumed
-         *  by the first conflicting region access, expired at the
-         *  next sync event). */
-        bool pending = false;
-        const ReleaseSnap *pendingRel = nullptr;
-    };
-
-    bool conflicts(const ReleaseSnap &rel) const;
-
-    ProcId procs_ = 0;
-    std::vector<ProcState> proc_;
-
-    /** EngineTraceInfo::joinSources, and their snapshots. */
-    std::vector<bool> joinSources_;
-    std::unordered_map<EventId, ReleaseSnap> syncSnap_;
-
-    AccessHistory hist_;
-    AccessSplit acc_; // scratch
-    std::vector<EngineRace> races_;
-};
+/** Run WCP over the events of @p trace in event-id order. */
+EngineVerdict runWcp(const ExecutionTrace &trace,
+                     const EngineTraceInfo &info);
 
 } // namespace wmr::engines
 

@@ -1,11 +1,9 @@
 #include "hb/reachability.hh"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 
 #include "common/logging.hh"
-#include "common/worker_pool.hh"
 
 namespace wmr {
 
@@ -19,17 +17,6 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start)
         .count();
 }
-
-/**
- * Engagement thresholds of the level-parallel clock build.  A long
- * po chain condenses to one component per event with level width
- * ≈ nprocs — there a per-level barrier costs more than the maxes it
- * distributes, so the serial push loop wins.  Wide condensations
- * (many processors, or G' graphs whose race edges collapsed the
- * chains into few big levels) are where the parallel path pays.
- */
-constexpr std::uint32_t kMinComponentsForParallel = 1u << 12;
-constexpr std::uint32_t kMinAvgLevelWidth = 32;
 
 std::vector<ProcId>
 procsOf(const ExecutionTrace &trace)
@@ -53,22 +40,26 @@ indicesOf(const ExecutionTrace &trace)
 
 ReachabilityIndex::ReachabilityIndex(
     const AdjList &graph, const std::vector<ProcId> &procOf,
-    const std::vector<std::uint32_t> &indexInProc, ProcId nprocs,
-    unsigned threads)
+    const std::vector<std::uint32_t> &indexInProc, ProcId nprocs)
     : nprocs_(nprocs)
 {
     wmr_assert(procOf.size() == graph.size());
     wmr_assert(indexInProc.size() == graph.size());
-    build(graph, procOf, indexInProc, threads);
+    build(graph, procOf, indexInProc);
+}
+
+ReachabilityIndex::ReachabilityIndex(const AdjList &graph,
+                                     const ExecutionTrace &trace)
+    : ReachabilityIndex(graph, procsOf(trace), indicesOf(trace),
+                        trace.numProcs())
+{
 }
 
 ReachabilityIndex::ReachabilityIndex(const HbGraph &graph,
                                      const ExecutionTrace &trace,
-                                     unsigned threads)
-    : nprocs_(trace.numProcs())
+                                     unsigned)
+    : ReachabilityIndex(graph.adjacency(), trace)
 {
-    build(graph.adjacency(), procsOf(trace), indicesOf(trace),
-          threads);
 }
 
 std::int64_t &
@@ -98,8 +89,7 @@ ReachabilityIndex::clockAt(std::uint32_t comp, ProcId p) const
 void
 ReachabilityIndex::build(const AdjList &graph,
                          const std::vector<ProcId> &procOf,
-                         const std::vector<std::uint32_t> &indexInProc,
-                         unsigned threads)
+                         const std::vector<std::uint32_t> &indexInProc)
 {
     const auto sccStart = Clock::now();
     scc_ = stronglyConnectedComponents(graph);
@@ -115,22 +105,11 @@ ReachabilityIndex::build(const AdjList &graph,
         h = std::max(h, static_cast<std::int64_t>(indexInProc[v]));
     }
 
-    const auto clockStart = Clock::now();
-    threads = resolveThreads(threads);
-    if (threads < 2 || ncomp < kMinComponentsForParallel ||
-        !propagateParallel(threads)) {
-        propagateSerial();
-    }
-    stats_.clockSeconds = secondsSince(clockStart);
-}
-
-void
-ReachabilityIndex::propagateSerial()
-{
     // Tarjan numbers components in reverse topological order: every
     // condensation edge c→c' has c > c'.  Descending id order visits
     // predecessors before successors; push clocks forward.
-    for (std::uint32_t c = scc_.numComponents; c-- > 0;) {
+    const auto clockStart = Clock::now();
+    for (std::uint32_t c = ncomp; c-- > 0;) {
         for (ProcId p = 0; p < nprocs_; ++p) {
             auto &cl = clock(c, p);
             cl = std::max(cl, hiAt(c, p));
@@ -142,72 +121,7 @@ ReachabilityIndex::propagateSerial()
             }
         }
     }
-}
-
-/**
- * Level-parallel clock propagation.  Stratify the condensation by
- * longest path from the sources; a component's clock then depends
- * only on strictly lower levels, so each level can be computed
- * pull-style (max over its predecessors' final clocks) with workers
- * owning disjoint component slices.  Returns false — leaving the
- * clocks untouched for the serial path — when the level structure is
- * too narrow for the per-level barrier to pay.
- */
-bool
-ReachabilityIndex::propagateParallel(unsigned threads)
-{
-    const std::uint32_t ncomp = scc_.numComponents;
-
-    // Longest-path levels, walking reverse-topological (descending)
-    // ids so every predecessor (higher id) is final before its
-    // successors read it.
-    std::vector<std::uint32_t> level(ncomp, 0);
-    std::uint32_t maxLevel = 0;
-    for (std::uint32_t c = ncomp; c-- > 0;) {
-        maxLevel = std::max(maxLevel, level[c]);
-        for (const std::uint32_t succ : scc_.condensation[c])
-            level[succ] = std::max(level[succ], level[c] + 1);
-    }
-    const std::uint32_t nlevels = maxLevel + 1;
-    stats_.levels = nlevels;
-    if (ncomp / nlevels < kMinAvgLevelWidth)
-        return false;
-    stats_.parallelClocks = true;
-
-    // Predecessor adjacency (the pull direction).
-    std::vector<std::vector<std::uint32_t>> preds(ncomp);
-    for (std::uint32_t c = 0; c < ncomp; ++c) {
-        for (const std::uint32_t succ : scc_.condensation[c])
-            preds[succ].push_back(c);
-    }
-
-    // Components bucketed by level.
-    std::vector<std::vector<std::uint32_t>> byLevel(nlevels);
-    for (std::uint32_t c = 0; c < ncomp; ++c)
-        byLevel[level[c]].push_back(c);
-
-    const unsigned workers = std::min<unsigned>(
-        threads, std::max<std::uint32_t>(1, ncomp / nlevels));
-    std::barrier levelDone(static_cast<std::ptrdiff_t>(workers));
-    WorkerPool pool(workers, [&](unsigned w) {
-        for (std::uint32_t lv = 0; lv < nlevels; ++lv) {
-            const auto &bucket = byLevel[lv];
-            const auto [first, last] =
-                workerSlice(bucket.size(), workers, w);
-            for (std::size_t i = first; i < last; ++i) {
-                const std::uint32_t c = bucket[i];
-                for (ProcId p = 0; p < nprocs_; ++p) {
-                    std::int64_t cl = hiAt(c, p);
-                    for (const std::uint32_t pr : preds[c])
-                        cl = std::max(cl, clockAt(pr, p));
-                    clock(c, p) = cl;
-                }
-            }
-            levelDone.arrive_and_wait();
-        }
-    });
-    pool.join();
-    return true;
+    stats_.clockSeconds = secondsSince(clockStart);
 }
 
 bool

@@ -22,14 +22,8 @@
  * Cycles (possible in weak executions and guaranteed in the
  * augmented graph G') are handled by the condensation: events in one
  * SCC are mutually reachable.  Memory is O(#components × #procs).
- *
- * Clock propagation can run on multiple threads: the condensation is
- * stratified into longest-path levels and each level's components are
- * computed pull-style (from already-final predecessor clocks) in
- * parallel.  Every clock entry is a max over a fixed input set, so
- * the parallel build is bit-identical to the serial one; it is only
- * engaged where the level structure is wide enough to pay for the
- * per-level barrier (see ReachBuildStats::parallelClocks).
+ * The clocks propagate in one serial pass over the condensation in
+ * topological order.
  */
 
 #ifndef WMR_HB_REACHABILITY_HH
@@ -50,8 +44,6 @@ struct ReachBuildStats
     double sccSeconds = 0;   ///< SCC condensation
     double clockSeconds = 0; ///< clock propagation
     std::uint32_t components = 0;
-    std::uint32_t levels = 0; ///< condensation levels (parallel path)
-    bool parallelClocks = false; ///< level-parallel path engaged
 };
 
 /** Reachability oracle over an event graph containing po chains. */
@@ -66,19 +58,19 @@ class ReachabilityIndex
      * @param indexInProc program-order index of each event within
      *        its processor.
      * @param nprocs number of processors.
-     * @param threads clock-propagation worker budget (0 = hardware
-     *        concurrency).  Any value yields bit-identical clocks;
-     *        extra threads are used only where profitable.
      */
     ReachabilityIndex(const AdjList &graph,
                       const std::vector<ProcId> &procOf,
                       const std::vector<std::uint32_t> &indexInProc,
-                      ProcId nprocs, unsigned threads = 1);
+                      ProcId nprocs);
+
+    /** Build from an adjacency over the events of @p trace that
+     *  includes their po chains. */
+    ReachabilityIndex(const AdjList &graph, const ExecutionTrace &trace);
 
     /** Convenience: build for the hb1 graph of @p trace. */
-    ReachabilityIndex(const HbGraph &graph,
-                      const ExecutionTrace &trace,
-                      unsigned threads = 1);
+    ReachabilityIndex(const HbGraph &graph, const ExecutionTrace &trace,
+                      unsigned = 1); // ignored; perfbench/probe.cc passes 1
 
     /** @return whether a path a →* b exists (true when a == b). */
     bool reaches(EventId a, EventId b) const;
@@ -102,10 +94,7 @@ class ReachabilityIndex
   private:
     void build(const AdjList &graph,
                const std::vector<ProcId> &procOf,
-               const std::vector<std::uint32_t> &indexInProc,
-               unsigned threads);
-    void propagateSerial();
-    bool propagateParallel(unsigned threads);
+               const std::vector<std::uint32_t> &indexInProc);
 
     std::int64_t &hi(std::uint32_t comp, ProcId p);
     std::int64_t &clock(std::uint32_t comp, ProcId p);

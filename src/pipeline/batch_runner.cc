@@ -139,7 +139,7 @@ analyzeOneTrace(const std::string &path, const BatchOptions &opts,
         fopts.kinds = opts.engineKinds;
         fopts.threads = opts.analysis.threads;
         const engines::EngineFamilyResult fam =
-            engines::runEngineFamily(trace, fopts);
+            engines::runEngineFamily(std::move(trace), fopts);
         out.status = TraceRunStatus::Ok;
         fillFromEngineFamily(fam, out);
         return;

@@ -90,7 +90,7 @@ analyzeUpload(const std::vector<std::uint8_t> &bytes, bool salvage,
         fopts.kinds = *kinds;
         fopts.threads = threads;
         const engines::EngineFamilyResult fam =
-            engines::runEngineFamily(loaded.trace, fopts);
+            engines::runEngineFamily(std::move(loaded.trace), fopts);
         out.rr.status = TraceRunStatus::Ok;
         fillFromEngineFamily(fam, out.rr);
         out.report = provenance + engines::formatFamilyReport(fam);

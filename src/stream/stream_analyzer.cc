@@ -9,34 +9,11 @@
 
 #include "common/logging.hh"
 #include "common/string_util.hh"
+#include "detect/scp.hh"
 #include "hb/scc.hh"
 #include "obs/obs.hh"
 
 namespace wmr {
-
-namespace {
-
-/** Conservative SCP membership (the ops==nullptr path of
- *  analyzeScp): Full strictly inside the base prefix, Partial when
- *  straddling the boundary, Outside beyond it. */
-enum class Membership : std::uint8_t
-{
-    Full,
-    Partial,
-    Outside,
-};
-
-Membership
-membershipOf(OpId firstOp, OpId lastOp, std::uint64_t scpEndOp)
-{
-    if (lastOp < scpEndOp)
-        return Membership::Full;
-    if (firstOp < scpEndOp)
-        return Membership::Partial;
-    return Membership::Outside;
-}
-
-} // namespace
 
 StreamAnalyzer::StreamAnalyzer(StreamOptions opts)
     : opts_(std::move(opts))
@@ -576,16 +553,11 @@ StreamAnalyzer::finish(bool finSeen, const SegShape &fin,
             rm.a = fr.ea->node;
             rm.b = fr.eb->node;
             rm.addrs = std::move(fr.addrs);
-            const Membership ma =
-                membershipOf(fr.ea->firstOp, fr.ea->lastOp, scpEndOp);
-            const Membership mb =
-                membershipOf(fr.eb->firstOp, fr.eb->lastOp, scpEndOp);
-            if (ma != Membership::Outside &&
-                mb != Membership::Outside) {
-                rm.maybeInScp = true;
-                rm.inScp =
-                    ma == Membership::Full && mb == Membership::Full;
-            }
+            const RaceScp scp = raceScpOf(
+                prefixMembership(fr.ea->firstOp, fr.ea->lastOp, scpEndOp),
+                prefixMembership(fr.eb->firstOp, fr.eb->lastOp, scpEndOp));
+            rm.maybeInScp = scp.maybe;
+            rm.inScp = scp.in;
             m.races.push_back(std::move(rm));
         }
         m.numDataRaces = finals.size();

@@ -10,9 +10,6 @@
  *  - AnalysisParallel.*:     figure traces, random-program traces,
  *                            serialization round-trips, salvaged
  *                            segmented traces, large synthetic traces;
- *  - ReachabilityParallel.*: the level-parallel clock build is
- *                            bit-identical to the serial one and
- *                            actually engages on wide condensations;
  *  - RaceFinderSharding.*:   shard merge determinism, and one race
  *                            per pair listing every racing word;
  *  - BatchBudget.*:          `batch` splits its budget between
@@ -168,8 +165,7 @@ TEST(AnalysisParallel, LargeSyntheticTraces)
 {
     // Big enough to actually shard, hot enough to generate plenty of
     // candidate pairs, and two very different shapes: deep (few
-    // procs, long po chains) and wide (many procs, short chains —
-    // the level-parallel clock regime).
+    // procs, long po chains) and wide (many procs, short chains).
     SyntheticTraceOptions deep;
     deep.procs = 4;
     deep.eventsPerProc = 600;
@@ -206,59 +202,6 @@ TEST(AnalysisParallel, ZeroMeansHardwareConcurrency)
     serial.threads = 1;
     EXPECT_EQ(artifactsOf(det),
               artifactsOf(analyzeTrace(trace, serial)));
-}
-
-// ---------------------------------------------------------------
-// ReachabilityParallel: the level-parallel clock build.
-// ---------------------------------------------------------------
-
-TEST(ReachabilityParallel, WideCondensationEngagesAndMatchesSerial)
-{
-    // Wide shape: 256 procs x 32 events = 8192 components (above the
-    // engagement floor) in ~32 levels => avg width ~256.
-    SyntheticTraceOptions wide;
-    wide.procs = 256;
-    wide.eventsPerProc = 32;
-    wide.memWords = 128;
-    wide.syncFraction = 0.1;
-    wide.seed = 11;
-    const auto trace = makeSyntheticTrace(wide);
-    const HbGraph hb(trace);
-
-    const ReachabilityIndex serial(hb, trace, 1);
-    const ReachabilityIndex parallel(hb, trace, 4);
-    EXPECT_FALSE(serial.buildStats().parallelClocks);
-    EXPECT_TRUE(parallel.buildStats().parallelClocks)
-        << "wide condensation should take the level-parallel path";
-    EXPECT_EQ(serial.buildStats().components,
-              parallel.buildStats().components);
-
-    // Exhaustive over a sample grid, plus every po-adjacent pair.
-    const EventId n =
-        static_cast<EventId>(trace.events().size());
-    const EventId stride = n / 97 + 1;
-    for (EventId a = 0; a < n; a += stride) {
-        for (EventId b = 0; b < n; b += stride) {
-            ASSERT_EQ(serial.reaches(a, b), parallel.reaches(a, b))
-                << a << " -> " << b;
-            ASSERT_EQ(serial.ordered(a, b), parallel.ordered(a, b))
-                << a << " <> " << b;
-        }
-    }
-}
-
-TEST(ReachabilityParallel, NarrowCondensationFallsBackToSerial)
-{
-    // Deep shape: 2 procs x 600 events => levels ~ chain length, avg
-    // width ~2 — the parallel path must decline (and still be right).
-    SyntheticTraceOptions deep;
-    deep.procs = 2;
-    deep.eventsPerProc = 600;
-    deep.seed = 12;
-    const auto trace = makeSyntheticTrace(deep);
-    const HbGraph hb(trace);
-    const ReachabilityIndex reach(hb, trace, 8);
-    EXPECT_FALSE(reach.buildStats().parallelClocks);
 }
 
 // ---------------------------------------------------------------

@@ -1,12 +1,10 @@
 /**
  * @file
- * The detector-family differential harness — the acceptance suite
- * of the pluggable-engine refactor (src/engines/).
+ * The detector-family differential harness (src/engines/).
  *
  * Every trace class the project can produce is pushed through the
- * full containment chain {hb1, shb, wcp} in one stream pass and the
- * family's pairwise verdict-containment checks must come back with
- * ZERO violations:
+ * full containment chain {hb1, shb, wcp} and the family's pairwise
+ * verdict-containment checks must come back with ZERO violations:
  *
  *   reported(hb1) ⊆ races(shb) == races(hb1) ⊆ races(wcp)
  *
@@ -14,8 +12,9 @@
  *
  *  - DetectorDiff.GoldenCorpus*:     every committed golden trace
  *    (EVENT and segmented containers, incl. the damaged fixture via
- *    salvage), plus byte-identity of the hb1 engine's canonical
- *    report against the stock whole-trace pipeline;
+ *    salvage), plus the family's hb1 verdict against a direct
+ *    analyzeTrace() of the same trace (golden corpus and figure
+ *    programs);
  *  - DetectorDiff.FigurePrograms*:   the paper's figure programs ×
  *    all five memory models × seeds, with the SHB first-race vs hb1
  *    first-partition cross-check;
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "detect/analysis.hh"
-#include "detect/report.hh"
 #include "engines/family.hh"
 #include "sim/executor.hh"
 #include "trace/segmented_io.hh"
@@ -194,26 +192,10 @@ TEST(DetectorDiff, GoldenCorpusChainClean)
         checkTrace(trace, name);
 }
 
-TEST(DetectorDiff, GoldenCorpusHb1ReportIsCanonical)
-{
-    // The hb1 engine wraps the stock pipeline; the report it renders
-    // through the family must be the BYTE-identical `wmrace check`
-    // report of the same trace.
-    for (const auto &[name, trace] : goldenTraces()) {
-        const engines::EngineFamilyResult fam = runChain(trace);
-        AnalysisOptions aopts;
-        aopts.threads = 1;
-        const DetectionResult det = analyzeTrace(trace, aopts);
-        EXPECT_EQ(fam.hb1CanonicalReport, formatReport(det))
-            << name;
-    }
-}
-
-// ---------------------------------------------------------------
-// FigurePrograms
-// ---------------------------------------------------------------
-
-TEST(DetectorDiff, FigureProgramsAcrossModelsAndSeeds)
+/** The paper's figure programs × all memory models × two seeds,
+ *  as (label, trace) pairs. */
+std::vector<std::pair<std::string, ExecutionTrace>>
+figureTraces()
 {
     const std::pair<const char *, Program> programs[] = {
         {"figure1a", figure1a()},
@@ -222,22 +204,76 @@ TEST(DetectorDiff, FigureProgramsAcrossModelsAndSeeds)
         {"messagePassingRacy", messagePassing(4, true)},
         {"dekkerDataFlags", dekkerDataFlags()},
     };
+    std::vector<std::pair<std::string, ExecutionTrace>> out;
     for (const auto &[label, prog] : programs) {
         for (const ModelKind model : kAllModels) {
             for (const std::uint64_t seed : {1ull, 7ull}) {
                 ExecOptions opts;
                 opts.model = model;
                 opts.seed = seed;
-                const ExecutionTrace trace =
+                out.emplace_back(
+                    std::string(label) + "/" +
+                        std::string(modelName(model)) + "/s" +
+                        std::to_string(seed),
                     buildTrace(runProgram(prog, opts),
-                               {.keepMemberOps = true});
-                checkTrace(trace,
-                           std::string(label) + "/" +
-                               std::string(modelName(model)) +
-                               "/s" + std::to_string(seed));
+                               {.keepMemberOps = true}));
             }
         }
     }
+    return out;
+}
+
+/** The family's hb1 verdict is what a direct analyzeTrace() of the
+ *  same trace found: every race, the reported subset, the partition
+ *  counts and the verdict. */
+void
+expectHb1VerdictIsAnalysis(const ExecutionTrace &trace,
+                           const std::string &what)
+{
+    const engines::EngineFamilyResult fam = runChain(trace);
+    const engines::EngineVerdict *hb1 = fam.verdict("hb1");
+    ASSERT_NE(hb1, nullptr) << what;
+    const DetectionResult det = analyzeTrace(trace);
+
+    const auto &want = det.races();
+    ASSERT_EQ(hb1->races.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(hb1->races[i].a, want[i].a) << what;
+        EXPECT_EQ(hb1->races[i].b, want[i].b) << what;
+        EXPECT_EQ(hb1->races[i].addrs, want[i].addrs) << what;
+        EXPECT_EQ(hb1->races[i].isDataRace, want[i].isDataRace)
+            << what;
+    }
+    EXPECT_EQ(hb1->reported, det.reportedRaces()) << what;
+    EXPECT_TRUE(hb1->hasPartitions) << what;
+    EXPECT_EQ(hb1->partitions, det.partitions().partitions.size())
+        << what;
+    EXPECT_EQ(hb1->firstPartitions,
+              det.partitions().firstPartitions.size())
+        << what;
+    EXPECT_EQ(hb1->numDataRaces, det.numDataRaces()) << what;
+    EXPECT_EQ(hb1->anyDataRace, det.anyDataRace()) << what;
+}
+
+TEST(DetectorDiff, GoldenCorpusHb1ReportIsCanonical)
+{
+    // The family reports hb1 from analyzeTrace() itself; its verdict
+    // must match a direct analysis race for race, on the golden
+    // corpus and on the figure programs.
+    for (const auto &[name, trace] : goldenTraces())
+        expectHb1VerdictIsAnalysis(trace, name);
+    for (const auto &[label, trace] : figureTraces())
+        expectHb1VerdictIsAnalysis(trace, label);
+}
+
+// ---------------------------------------------------------------
+// FigurePrograms
+// ---------------------------------------------------------------
+
+TEST(DetectorDiff, FigureProgramsAcrossModelsAndSeeds)
+{
+    for (const auto &[label, trace] : figureTraces())
+        checkTrace(trace, label);
 }
 
 // ---------------------------------------------------------------

@@ -136,7 +136,7 @@ cmdCheck(const CommandLine &cl)
             engines::parseEngineSelection(cl.choice("engine")).value();
         fopts.threads = aopts.threads;
         const engines::EngineFamilyResult fam =
-            engines::runEngineFamily(lt.trace, fopts);
+            engines::runEngineFamily(std::move(lt.trace), fopts);
         writeReport(engines::formatFamilyReport(fam));
         return fam.anyDataRace ? 1 : 0;
     }
